@@ -3,9 +3,8 @@
 // paper) on the Fig. 4 configuration across diversity thresholds:
 // when does the grand federation assemble endogenously, and when do
 // facilities stay apart? Runs on the structure subsystem's hedonic
-// engine (structure/hedonic.hpp — cached values, no n cap), which the
-// legacy policy::merge_split API now forwards to; the final case
-// exercises n = 12, beyond the old implementation's n <= 10 limit.
+// engine (structure/hedonic.hpp — cached values, no n cap); the final
+// case exercises n = 12, beyond the old implementation's n <= 10 limit.
 #include <iostream>
 #include <string>
 #include <vector>

@@ -300,151 +300,17 @@ void print_quotient_nucleolus_stats(std::ostream& out,
   out << "\n";
 }
 
-// Shared body of the non-resilient report; `lp_solver` picks the
-// simplex engine behind the nucleolus scheme, `verify_level` the
-// --verify behaviour, and `symmetry` the quotient engine (kOff keeps
-// this function byte-identical to the historical report).
-std::string plain_report(const io::Config& config, lp::SolverKind lp_solver,
-                         verify::VerifyLevel verify_level,
-                         game::SymmetryMode symmetry,
-                         structure::StructureMode structure_mode,
-                         bool cache_stats) {
-  const model::Federation fed = federation_from_config(config);
-  int precision = 4;
-  const auto options = config.sections_named("options");
-  if (!options.empty()) {
-    precision =
-        static_cast<int>(options.front()->get_double_or("precision", 4.0));
-  }
-
-  std::ostringstream out;
-  const int n = fed.num_facilities();
-  const auto g = fed.build_game(symmetry);
-
-  io::print_heading(out, "Coalition values");
-  io::Table values({"coalition", "V(S)"});
-  values.set_align(0, io::Align::kLeft);
-  for (const auto& s : game::all_coalitions(n)) {
-    if (s.empty()) continue;
-    std::string label;
-    for (const int m : s.members()) {
-      if (!label.empty()) label += "+";
-      label += fed.space().facility(m).name();
-    }
-    values.add_row({label, io::format_double(g.value(s), precision)});
-  }
-  values.print(out);
-
-  const auto props = game::analyze_properties(g, 1e-9);
-  out << "\nGame properties: "
-      << (props.superadditive ? "superadditive" : "not superadditive")
-      << ", " << (props.convex ? "convex" : "not convex") << ", "
-      << (props.monotone ? "monotone" : "not monotone") << ", "
-      << (props.essential ? "essential" : "inessential") << "\n";
-
-  // Under --symmetry the detected partition also routes the nucleolus
-  // through the orbit-row quotient formulation (an all-singletons
-  // partition falls back to the dense path inside compare_schemes).
-  std::optional<game::PlayerPartition> partition;
-  if (symmetry != game::SymmetryMode::kOff) {
-    partition = fed.symmetry_partition(symmetry);
-    print_symmetry(out, fed, *partition, symmetry);
-  }
-
-  io::print_heading(out, "Sharing schemes");
-  std::vector<std::string> headers{"scheme"};
-  for (int i = 0; i < n; ++i) {
-    headers.push_back(fed.space().facility(i).name());
-  }
-  headers.emplace_back("in core");
-  io::Table table(std::move(headers));
-  table.set_align(0, io::Align::kLeft);
-  lp::SimplexOptions lp_options;
-  lp_options.solver = lp_solver;
-  verify::VerifyOptions verify_options;
-  verify_options.level = verify_level;
-  game::QuotientNucleolusInfo nucleolus_info;
-  auto audited = verify::audited_compare_schemes(
-      g, fed.availability_weights(), fed.consumption_weights(), lp_options,
-      verify_options, partition ? &*partition : nullptr, &nucleolus_info);
-  const auto& outcomes = audited.outcomes;
-  for (const auto& o : outcomes) {
-    std::vector<std::string> row{game::to_string(o.scheme)};
-    for (int i = 0; i < n; ++i) {
-      row.push_back(
-          io::format_double(o.shares[static_cast<std::size_t>(i)],
-                            precision));
-    }
-    row.emplace_back(o.in_core ? "yes" : "no");
-    table.add_row(std::move(row));
-  }
-  table.print(out);
-
-  // Optional hierarchy section.
-  std::vector<std::string> names;
-  for (int i = 0; i < n; ++i) {
-    names.push_back(fed.space().facility(i).name());
-  }
-  if (const auto hierarchy =
-          hierarchy_from_labels(region_labels(config), names)) {
-    io::print_heading(out, "Hierarchy (Owen value)");
-    const auto owen = game::normalize_shares(
-        game::owen_value(g, hierarchy->structure));
-    const auto quotient = game::normalize_shares(game::shapley_exact(
-        game::quotient_game(g, hierarchy->structure)));
-    io::Table htable(std::vector<std::string>{"facility", "block", "Owen share"});
-    htable.set_align(0, io::Align::kLeft);
-    htable.set_align(1, io::Align::kLeft);
-    for (int i = 0; i < n; ++i) {
-      htable.add_row(
-          {names[static_cast<std::size_t>(i)],
-           hierarchy->block_names[hierarchy->structure.union_of(i)],
-           io::format_double(owen[static_cast<std::size_t>(i)],
-                             precision)});
-    }
-    htable.print(out);
-    io::Table rtable(std::vector<std::string>{"block", "quotient Shapley share"});
-    rtable.set_align(0, io::Align::kLeft);
-    for (std::size_t b = 0; b < hierarchy->block_names.size(); ++b) {
-      rtable.add_row({hierarchy->block_names[b],
-                      io::format_double(quotient[b], precision)});
-    }
-    out << '\n';
-    rtable.print(out);
-  }
-
-  if (structure_mode != structure::StructureMode::kOff) {
-    print_structure(out, structure_mode, g, names, precision);
-  }
-
-  if (verify_level != verify::VerifyLevel::kOff) {
-    print_verification(out, verify_level, audited.report);
-  }
-  if (cache_stats) {
-    print_cache_stats(out, fed.value_cache().stats());
-    print_quotient_nucleolus_stats(out, nucleolus_info);
-  }
-  return out.str();
-}
-
 }  // namespace
 
-std::string run_report(const io::Config& config) {
-  return plain_report(config, lp::SolverKind::kDense,
-                      verify::VerifyLevel::kOff, game::SymmetryMode::kOff,
-                      structure::StructureMode::kOff, false);
-}
-
-namespace {
-
-// The resilient variant of the report body. Mirrors run_report section
-// by section, but every exponential computation runs under the budget
-// and degrades instead of overrunning; the no-options fast path never
-// reaches this function, which is what keeps default output
-// byte-identical across releases. Degraded sections are recorded in the
-// returned ReportResult so the CLI can exit nonzero.
-ReportResult resilient_report(const io::Config& config,
-                              const ReportOptions& ropts) {
+// The one report body. Every exponential computation runs under the
+// budget and degrades instead of overrunning; with no --deadline-ms the
+// budget is unlimited and nothing degrades except a nucleolus the dense
+// engine cannot reach (n > 10 without a symmetry quotient). Degraded
+// sections are recorded in the returned ReportResult so the CLI can
+// exit nonzero. ReportOptions::any() only decides whether the
+// Resilience section is printed.
+ReportResult run_report_result(const io::Config& config,
+                               const ReportOptions& ropts) {
   ReportResult result;
   const model::Federation fed = federation_from_config(config);
   int precision = 4;
@@ -467,10 +333,11 @@ ReportResult resilient_report(const io::Config& config,
           : runtime::ComputeBudget::unlimited();
   const game::FunctionGame fgame(
       n, [&fed](game::Coalition c) { return fed.value(c); });
-  // With --symmetry the tabulation collapses to one allocation per
-  // orbit; with kOff this is exactly the historical budgeted
-  // tabulation of fgame.
-  const auto tab = fed.build_game_budgeted(ropts.symmetry, budget);
+  // One partition per report: it drives the tabulation (one allocation
+  // per orbit), the Symmetry section and the quotient nucleolus. kOff
+  // gives the identity partition, i.e. the per-mask tabulation.
+  const game::PlayerPartition partition = fed.symmetry_partition(ropts.symmetry);
+  const auto tab = fed.build_game_budgeted(partition, budget);
 
   io::print_heading(out, "Coalition values");
   io::Table values({"coalition", "V(S)"});
@@ -519,12 +386,8 @@ ReportResult resilient_report(const io::Config& config,
            "under deadline)\n";
   }
 
-  // As in plain_report, the --symmetry partition routes the nucleolus
-  // through the orbit-row quotient formulation.
-  std::optional<game::PlayerPartition> partition;
   if (ropts.symmetry != game::SymmetryMode::kOff) {
-    partition = fed.symmetry_partition(ropts.symmetry);
-    print_symmetry(out, fed, *partition, ropts.symmetry);
+    print_symmetry(out, fed, partition, ropts.symmetry);
   }
 
   io::print_heading(out, "Sharing schemes");
@@ -537,21 +400,23 @@ ReportResult resilient_report(const io::Config& config,
   verify_options.level = ropts.verify;
   verify::AuditReport audit;
   game::QuotientNucleolusInfo nucleolus_info;
-  runtime::ResilientSchemes rs =
-      ropts.verify == verify::VerifyLevel::kOff
-          ? runtime::compare_schemes_resilient(
-                tab ? static_cast<const game::Game&>(*tab) : fgame,
-                tab ? &*tab : nullptr, fed.availability_weights(),
-                fed.consumption_weights(), budget, 4096, 1, ropts.lp_solver,
-                partition ? &*partition : nullptr, &nucleolus_info)
-          : runtime::compare_schemes_resilient_verified(
-                tab ? static_cast<const game::Game&>(*tab) : fgame,
-                tab ? &*tab : nullptr, fed.availability_weights(),
-                fed.consumption_weights(), verify_options, &audit, budget,
-                4096, 1, ropts.lp_solver, partition ? &*partition : nullptr,
-                &nucleolus_info);
+  runtime::ResilientSchemes rs = runtime::compare_schemes_resilient_verified(
+      tab ? static_cast<const game::Game&>(*tab) : fgame,
+      tab ? &*tab : nullptr, fed.availability_weights(),
+      fed.consumption_weights(), verify_options, &audit, budget, 4096, 1,
+      ropts.lp_solver, &partition, &nucleolus_info);
   if (rs.shapley_engine == runtime::ShapleyEngine::kMonteCarlo) {
     result.degraded_sections.emplace_back("shapley (monte-carlo fallback)");
+  }
+  switch (rs.nucleolus_skip) {
+    case runtime::NucleolusSkip::kNone: break;
+    case runtime::NucleolusSkip::kBudget:
+      result.degraded_sections.emplace_back("nucleolus");
+      break;
+    case runtime::NucleolusSkip::kTooLarge:
+      result.degraded_sections.emplace_back(
+          "nucleolus (n > 10 without a symmetry quotient)");
+      break;
   }
   for (const auto& o : rs.outcomes) {
     std::vector<std::string> row{game::to_string(o.scheme)};
@@ -618,25 +483,27 @@ ReportResult resilient_report(const io::Config& config,
     }
   }
 
-  io::print_heading(out, "Resilience");
-  if (ropts.deadline_ms.has_value()) {
-    out << "deadline: " << *ropts.deadline_ms << " ms\n";
-  } else {
-    out << "deadline: none\n";
-  }
-  out << "coalition table: "
-      << (tab ? "complete"
-              : std::string("truncated (") +
-                    runtime::to_string(budget.stop_reason()) + ")")
-      << "\n";
-  out << "shapley engine: " << runtime::to_string(rs.shapley_engine);
-  if (rs.shapley_engine == runtime::ShapleyEngine::kMonteCarlo) {
-    out << " (" << rs.shapley_samples << " samples, max standard error "
-        << io::format_double(rs.shapley_max_se, precision) << ")";
-  }
-  out << "\n";
-  for (const auto& note : rs.notes) {
-    out << "note: " << note << "\n";
+  if (ropts.any()) {
+    io::print_heading(out, "Resilience");
+    if (ropts.deadline_ms.has_value()) {
+      out << "deadline: " << *ropts.deadline_ms << " ms\n";
+    } else {
+      out << "deadline: none\n";
+    }
+    out << "coalition table: "
+        << (tab ? "complete"
+                : std::string("truncated (") +
+                      runtime::to_string(budget.stop_reason()) + ")")
+        << "\n";
+    out << "shapley engine: " << runtime::to_string(rs.shapley_engine);
+    if (rs.shapley_engine == runtime::ShapleyEngine::kMonteCarlo) {
+      out << " (" << rs.shapley_samples << " samples, max standard error "
+          << io::format_double(rs.shapley_max_se, precision) << ")";
+    }
+    out << "\n";
+    for (const auto& note : rs.notes) {
+      out << "note: " << note << "\n";
+    }
   }
 
   if (ropts.verify != verify::VerifyLevel::kOff) {
@@ -701,23 +568,13 @@ ReportResult resilient_report(const io::Config& config,
   return result;
 }
 
-}  // namespace
+std::string run_report(const io::Config& config) {
+  return run_report_result(config, ReportOptions{}).text;
+}
 
 std::string run_report(const io::Config& config,
                        const ReportOptions& options) {
   return run_report_result(config, options).text;
-}
-
-ReportResult run_report_result(const io::Config& config,
-                               const ReportOptions& options) {
-  if (!options.any()) {
-    ReportResult result;
-    result.text = plain_report(config, options.lp_solver, options.verify,
-                               options.symmetry, options.structure,
-                               options.cache_stats);
-    return result;
-  }
-  return resilient_report(config, options);
 }
 
 std::string run_report_from_string(const std::string& text) {

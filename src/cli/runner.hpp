@@ -24,7 +24,9 @@
 // structure-consistent Owen shares per facility). Facilities without a
 // region form their own singleton block.
 //
-// Resilience flags (tools/fedshare_cli.cpp, mapped onto ReportOptions):
+// Every report runs one body under a compute budget: unlimited by
+// default, a deadline with --deadline-ms. Flags (tools/fedshare_cli.cpp,
+// mapped onto ReportOptions):
 //
 //   --deadline-ms <ms>       compute budget for the exponential solvers;
 //                            when it trips the report degrades (Monte-
@@ -76,6 +78,10 @@
 //                            leaves the output untouched.
 //
 // Without any flag the output is byte-identical to previous releases.
+// A report that lacks a section it would print on an unlimited budget
+// is marked degraded (ReportResult::degraded_sections): a section cut
+// short by the deadline, or a nucleolus the dense engine cannot reach
+// (n > 10 without a symmetry quotient).
 #pragma once
 
 #include <cstdint>
@@ -92,8 +98,9 @@
 
 namespace fedshare::cli {
 
-/// Resilience knobs for run_report. Default-constructed options select
-/// the original (non-degradable) code path with unchanged output.
+/// Report knobs. Default-constructed options give the historical report:
+/// the one report body under an unlimited budget, with no Resilience
+/// section.
 struct ReportOptions {
   /// Compute budget for the exponential solvers (tabulation, exact
   /// Shapley, nucleolus LPs). Unset = unlimited.
@@ -128,10 +135,11 @@ struct ReportOptions {
   /// --cache-stats: append a Value cache section with the federation
   /// memo's counters (entries, hits/misses, invalidations, and the
   /// write-combining telemetry). Off by default, so the report stays
-  /// byte-identical; deliberately NOT part of any() — the flag only
-  /// appends a footer and must not reroute onto the resilient path.
+  /// byte-identical; not part of any(), since it only appends a footer.
   bool cache_stats = false;
 
+  /// True when the Resilience section is printed: a deadline is set or
+  /// outage scenarios are requested. It selects no other code path.
   [[nodiscard]] bool any() const noexcept {
     return deadline_ms.has_value() || outage_scenarios > 0;
   }
@@ -146,7 +154,7 @@ struct ReportOptions {
 /// scheme with core membership. Deterministic text output.
 [[nodiscard]] std::string run_report(const io::Config& config);
 
-/// Report with resilience options. With default options this is exactly
+/// Report with options. With default options this is exactly
 /// run_report(config); with a deadline the solvers degrade gracefully
 /// (the report always completes) and a Resilience section is appended;
 /// with outage scenarios an outage-distribution section is appended.
@@ -154,14 +162,16 @@ struct ReportOptions {
                                      const ReportOptions& options);
 
 /// A report plus degradation telemetry, so callers (the CLI) can turn
-/// "some section degraded under the budget" into a nonzero exit code
-/// and a stderr note instead of silently printing a reduced report.
+/// "some section degraded" into a nonzero exit code and a stderr note
+/// instead of silently printing a reduced report.
 struct ReportResult {
   std::string text;
-  /// Why the budget tripped (kNone when nothing degraded).
+  /// Why the budget tripped (kNone when it did not, including a report
+  /// degraded only by the dense nucleolus's n <= 10 reach).
   runtime::StopReason stop = runtime::StopReason::kNone;
   /// Human-readable names of the degraded sections, report order
-  /// (e.g. "coalition table", "shapley (monte-carlo fallback)").
+  /// (e.g. "coalition table", "shapley (monte-carlo fallback)",
+  /// "nucleolus", "nucleolus (n > 10 without a symmetry quotient)").
   std::vector<std::string> degraded_sections;
   [[nodiscard]] bool degraded() const noexcept {
     return !degraded_sections.empty();

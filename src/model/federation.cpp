@@ -91,28 +91,9 @@ LpSweepResult Federation::relaxation_sweep(
 }
 
 game::TabularGame Federation::build_game() const {
-  const int n = num_facilities();
-  if (n > 24) {
-    throw std::invalid_argument("tabulate: n must be <= 24");
-  }
-  const std::uint64_t count = std::uint64_t{1} << n;
-  std::vector<double> values(count);
-  // Buffered tabulation: scheduled exactly like game::tabulate (each
-  // mask writes its own slot, so the result is bit-identical to the
-  // serial loop at any thread count), but each chunk stages its computed
-  // V(S) in a CacheWriteBuffer and batch-stores per shard instead of
-  // taking one shard lock per coalition.
-  exec::parallel_for(0, count, kTabulateChunk,
-                     [&](const exec::ChunkRange& r) {
-                       exec::CacheWriteBuffer buffer(*cache_);
-                       for (std::uint64_t mask = r.begin; mask < r.end;
-                            ++mask) {
-                         values[mask] = value_buffered(
-                             game::Coalition::from_bits(mask), buffer);
-                       }
-                       return true;  // buffer flushes on scope exit
-                     });
-  return game::TabularGame(n, std::move(values));
+  return *build_game_budgeted(
+      game::PlayerPartition::identity(num_facilities()),
+      runtime::ComputeBudget::unlimited());
 }
 
 game::PlayerPartition Federation::symmetry_partition(
@@ -134,31 +115,45 @@ game::PlayerPartition Federation::symmetry_partition(
 }
 
 game::TabularGame Federation::build_game(game::SymmetryMode mode) const {
-  const game::PlayerPartition partition = symmetry_partition(mode);
-  if (partition.is_trivial()) return build_game();
-  const game::FunctionGame raw(
-      num_facilities(),
-      [this](game::Coalition s) { return raw_value(s); });
-  const game::QuotientGame quotient(raw, partition);
-  std::vector<double> orbit_values = quotient.orbit_values();
-  monotone_close_orbits(quotient.orbits(), orbit_values);
-  return game::expand_orbit_table(quotient.orbits(), orbit_values);
+  return *build_game_budgeted(symmetry_partition(mode),
+                              runtime::ComputeBudget::unlimited());
 }
 
 std::optional<game::TabularGame> Federation::build_game_budgeted(
-    game::SymmetryMode mode, const runtime::ComputeBudget& budget) const {
-  const game::PlayerPartition partition = symmetry_partition(mode);
-  const game::FunctionGame raw(
-      num_facilities(),
-      [this](game::Coalition s) { return raw_value(s); });
-  if (partition.is_trivial()) {
-    // Plain budgeted tabulation of the closed game: charge through the
-    // federation cache (one unit per distinct coalition materialised).
-    const game::FunctionGame closed(
-        num_facilities(),
-        [this](game::Coalition s) { return value(s); });
-    return game::tabulate_budgeted(closed, budget);
+    const game::PlayerPartition& partition,
+    const runtime::ComputeBudget& budget) const {
+  const int n = num_facilities();
+  if (n > 24) {
+    throw std::invalid_argument("tabulate: n must be <= 24");
   }
+  if (partition.num_players() != n) {
+    throw std::invalid_argument(
+        "build_game_budgeted: partition must cover every facility");
+  }
+  if (partition.is_trivial()) {
+    const std::uint64_t count = std::uint64_t{1} << n;
+    std::vector<double> values(count);
+    // Scheduled exactly like game::tabulate (each mask writes its own
+    // slot), but each chunk stages its computed V(S) in a
+    // CacheWriteBuffer and batch-stores per shard instead of taking one
+    // shard lock per coalition. One unit per mask, as for any
+    // FunctionGame: the closure recursion below it reads the memo.
+    const bool ok = exec::parallel_for_budgeted(
+        0, count, kTabulateChunk, budget,
+        [&](const exec::ChunkRange& r, const runtime::ComputeBudget& b) {
+          exec::CacheWriteBuffer buffer(*cache_);
+          for (std::uint64_t mask = r.begin; mask < r.end; ++mask) {
+            if (!b.charge()) return false;
+            values[mask] =
+                value_buffered(game::Coalition::from_bits(mask), buffer);
+          }
+          return true;  // buffer flushes on scope exit
+        });
+    if (!ok) return std::nullopt;
+    return game::TabularGame(n, std::move(values));
+  }
+  const game::FunctionGame raw(
+      n, [this](game::Coalition s) { return raw_value(s); });
   const game::QuotientGame quotient(raw, partition);
   auto orbit_values = quotient.orbit_values_budgeted(budget);
   if (!orbit_values) return std::nullopt;

@@ -65,7 +65,8 @@ class Federation {
   }
 
   /// The federation's TU game, tabulated (all 2^n coalition values).
-  /// Requires num_facilities() <= 24.
+  /// Requires num_facilities() <= 24. Same as build_game_budgeted()
+  /// over the identity partition with an unlimited budget.
   [[nodiscard]] game::TabularGame build_game() const;
 
   /// The player partition the symmetry engine would quotient with:
@@ -74,19 +75,25 @@ class Federation {
   [[nodiscard]] game::PlayerPartition symmetry_partition(
       game::SymmetryMode mode) const;
 
-  /// Symmetry-aware tabulation: evaluates the greedy allocator once per
-  /// orbit of symmetry_partition(mode), applies the monotone closure on
-  /// the orbit lattice (equivalent to the full-lattice closure for a
-  /// symmetric game, and exact — max is order-independent), and expands
-  /// to all 2^n masks. Falls back to build_game() when the partition is
-  /// trivial; kOff reproduces build_game() exactly.
+  /// build_game_budgeted(symmetry_partition(mode)) with an unlimited
+  /// budget: kOff reproduces build_game() exactly.
   [[nodiscard]] game::TabularGame build_game(game::SymmetryMode mode) const;
 
-  /// Budgeted variant for the resilient pipeline: charges one unit per
-  /// orbit materialised (the charging rule's "distinct V(S)" collapses
-  /// to distinct orbits) and returns nullopt when the budget trips.
+  /// The one tabulation routine. A trivial `partition` tabulates every
+  /// mask through the memo, each chunk staging its values in a
+  /// CacheWriteBuffer and storing them in shard-grouped batches; the
+  /// result is bit-identical to the serial loop at any thread count.
+  /// A non-trivial one evaluates the greedy allocator once per orbit,
+  /// applies the monotone closure on the orbit lattice (equivalent to
+  /// the full-lattice closure for a symmetric game, and exact: max is
+  /// order-independent) and expands to all 2^n masks. Charges one unit
+  /// per mask or orbit materialised and returns nullopt when the budget
+  /// trips. Callers that also need the partition (the report's Symmetry
+  /// section, the quotient nucleolus) compute it once with
+  /// symmetry_partition() and pass the same object here.
   [[nodiscard]] std::optional<game::TabularGame> build_game_budgeted(
-      game::SymmetryMode mode, const runtime::ComputeBudget& budget) const;
+      const game::PlayerPartition& partition,
+      const runtime::ComputeBudget& budget) const;
 
   /// Tabulates the allocation-relaxation upper bound of every coalition
   /// via the warm-started subset-lattice sweep (model/value.hpp). The
@@ -112,9 +119,9 @@ class Federation {
   /// value() with a per-worker exec::CacheWriteBuffer in front of the
   /// shared memo: same closure recursion and the same hit/miss
   /// accounting, but computed values are staged locally and pushed to
-  /// the shared cache in shard-grouped batches. Used by build_game()'s
-  /// tabulation so workers stop serialising on shard locks for every
-  /// stored coalition.
+  /// the shared cache in shard-grouped batches. Used by the tabulation
+  /// so workers stop serialising on shard locks for every stored
+  /// coalition.
   double value_buffered(game::Coalition coalition,
                         exec::CacheWriteBuffer& buffer) const;
 

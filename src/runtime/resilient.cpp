@@ -204,55 +204,58 @@ ResilientSchemes compare_schemes_impl(
   // Nucleolus: the orbit-row quotient formulation when a non-trivial
   // partition certifies interchangeable players (no n ceiling — rows
   // scale with orbit count), the dense 2^n-row formulation otherwise
-  // (n <= 10 only). Budget trips in either path degrade to a note.
+  // (n <= 10 only). Every skip is recorded in nucleolus_skip.
   const bool quotient_nucleolus =
       partition != nullptr && !partition->is_trivial();
-  if (quotient_nucleolus || n <= 10) {
-    if (tab == nullptr) {
-      out.notes.emplace_back(
-          "nucleolus: skipped (coalition table unavailable under deadline)");
-    } else if (budget.exhausted()) {
+  if (!quotient_nucleolus && n > 10) {
+    out.nucleolus_skip = NucleolusSkip::kTooLarge;
+    out.notes.emplace_back(
+        "nucleolus: skipped (n > 10 without a symmetry quotient)");
+  } else if (tab == nullptr) {
+    out.nucleolus_skip = NucleolusSkip::kBudget;
+    out.notes.emplace_back(
+        "nucleolus: skipped (coalition table unavailable under deadline)");
+  } else if (budget.exhausted()) {
+    out.nucleolus_skip = NucleolusSkip::kBudget;
+    out.notes.emplace_back("nucleolus: skipped (" + stop_label(budget) + ")");
+  } else {
+    lp::SimplexOptions options;
+    options.solver = lp_solver;
+    options.budget = &budget;
+    options.observer = observer;
+    game::NucleolusResult r;
+    if (quotient_nucleolus) {
+      const game::QuotientGame quotient(*tab, *partition);
+      r = game::nucleolus_quotient(quotient, options);
+      if (nucleolus_info != nullptr) {
+        nucleolus_info->attempted = true;
+        nucleolus_info->used = r.solved;
+        nucleolus_info->orbit_rows = r.excess_rows;
+        nucleolus_info->dense_rows = n < 63 ? (std::uint64_t{1} << n) - 2 : 0;
+        nucleolus_info->lps_solved = r.lps_solved;
+        nucleolus_info->pivots = r.pivots;
+        const auto stats = quotient.cache().stats();
+        nucleolus_info->orbit_hits = stats.hits;
+        nucleolus_info->orbit_misses = stats.misses;
+      }
+    } else {
+      r = game::nucleolus(*tab, options);
+    }
+    if (r.solved) {
+      std::vector<double> shares;
+      if (std::abs(total) < 1e-12) {
+        shares = game::equal_shares(n);
+      } else {
+        shares.resize(r.allocation.size());
+        for (std::size_t i = 0; i < shares.size(); ++i) {
+          shares[i] = r.allocation[i] / total;
+        }
+      }
+      push(game::Scheme::kNucleolus, std::move(shares));
+    } else {
+      out.nucleolus_skip = NucleolusSkip::kBudget;
       out.notes.emplace_back("nucleolus: skipped (" + stop_label(budget) +
                              ")");
-    } else {
-      lp::SimplexOptions options;
-      options.solver = lp_solver;
-      options.budget = &budget;
-      options.observer = observer;
-      game::NucleolusResult r;
-      if (quotient_nucleolus) {
-        const game::QuotientGame quotient(*tab, *partition);
-        r = game::nucleolus_quotient(quotient, options);
-        if (nucleolus_info != nullptr) {
-          nucleolus_info->attempted = true;
-          nucleolus_info->used = r.solved;
-          nucleolus_info->orbit_rows = r.excess_rows;
-          nucleolus_info->dense_rows =
-              n < 63 ? (std::uint64_t{1} << n) - 2 : 0;
-          nucleolus_info->lps_solved = r.lps_solved;
-          nucleolus_info->pivots = r.pivots;
-          const auto stats = quotient.cache().stats();
-          nucleolus_info->orbit_hits = stats.hits;
-          nucleolus_info->orbit_misses = stats.misses;
-        }
-      } else {
-        r = game::nucleolus(*tab, options);
-      }
-      if (r.solved) {
-        std::vector<double> shares;
-        if (std::abs(total) < 1e-12) {
-          shares = game::equal_shares(n);
-        } else {
-          shares.resize(r.allocation.size());
-          for (std::size_t i = 0; i < shares.size(); ++i) {
-            shares[i] = r.allocation[i] / total;
-          }
-        }
-        push(game::Scheme::kNucleolus, std::move(shares));
-      } else {
-        out.notes.emplace_back("nucleolus: skipped (" + stop_label(budget) +
-                               ")");
-      }
     }
   }
 

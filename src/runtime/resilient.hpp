@@ -82,8 +82,17 @@ struct ResilientShapley {
                                                  std::uint64_t mc_samples = 4096,
                                                  std::uint64_t mc_seed = 1);
 
+/// Why the nucleolus row is missing from a ResilientSchemes table.
+enum class NucleolusSkip {
+  kNone,      ///< computed (the row is present)
+  kBudget,    ///< the budget tripped before or during the LP chain, or
+              ///< the coalition table it needs was cut short
+  kTooLarge,  ///< n > 10 and no non-trivial partition: the dense
+              ///< 2^n-row formulation is out of reach
+};
+
 /// Budget-aware replacement for game::compare_schemes, used by the CLI
-/// deadline path and the outage evaluator.
+/// report and the outage evaluator.
 struct ResilientSchemes {
   std::vector<game::SchemeOutcome> outcomes;
   /// True when core membership was actually evaluated (tabulated game,
@@ -92,6 +101,7 @@ struct ResilientSchemes {
   ShapleyEngine shapley_engine = ShapleyEngine::kExact;
   std::uint64_t shapley_samples = 0;
   double shapley_max_se = 0.0;  ///< max standard error (Monte Carlo only)
+  NucleolusSkip nucleolus_skip = NucleolusSkip::kNone;
   /// One entry per degradation (empty on a clean run), e.g.
   /// "shapley: antithetic monte-carlo (64 samples, max se 0.0132)".
   std::vector<std::string> notes;
@@ -106,8 +116,9 @@ struct ResilientSchemes {
 /// simplex engine for the nucleolus LPs (the CLI's --lp-solver flag).
 /// A non-trivial `partition` routes the nucleolus through the orbit-row
 /// quotient formulation (see game::nucleolus_quotient), lifting the
-/// dense n <= 10 ceiling; a budget trip inside the quotient path still
-/// degrades to a skip note instead of throwing.
+/// dense n <= 10 ceiling. A nucleolus that is not computed (budget trip,
+/// or n > 10 without a quotient) is recorded in `nucleolus_skip` plus a
+/// note instead of throwing.
 [[nodiscard]] ResilientSchemes compare_schemes_resilient(
     const game::Game& game, const game::TabularGame* tab,
     const std::vector<double>& availability_weights,
@@ -118,8 +129,8 @@ struct ResilientSchemes {
     const game::PlayerPartition* partition = nullptr,
     game::QuotientNucleolusInfo* nucleolus_info = nullptr);
 
-/// Verification-aware variant (the CLI's --verify flag with a deadline
-/// active). Behaviour by verify_options.level:
+/// Verification-aware variant (the CLI's --verify flag). Behaviour by
+/// verify_options.level:
 ///  * kOff   — identical to compare_schemes_resilient; `audit` untouched.
 ///  * kCheap — same computation, then game/outcome audits into `*audit`.
 ///  * kFull  — every nucleolus LP additionally runs under the

@@ -9,16 +9,14 @@
 //   * split — a block breaks in two under the same rule.
 // A partition admitting neither is merge-split stable (D_hp stability).
 //
-// This engine supersedes the original policy::merge_split (which
-// survives as a forwarding shim): candidate order is unchanged and
-// deterministic — merge collections by size then lexicographic, splits
-// anchored on each block's lowest member — but every V(S) evaluation
-// now flows through a shared exec::ValueCache, so the quadratic
-// re-reads across Shapley subgames are computed once; and the n <= 10
-// cap is gone. Beyond `max_merge_enumeration_blocks` blocks the
+// Candidate order is deterministic — merge collections by size then
+// lexicographic, splits anchored on each block's lowest member — and
+// every V(S) evaluation flows through a shared exec::ValueCache, so the
+// quadratic re-reads across Shapley subgames are computed once. There
+// is no player cap. Beyond `max_merge_enumeration_blocks` blocks the
 // exhaustive 2^B collection sweep is replaced by deterministic pairwise
-// merges (lexicographic pairs) — a weaker rule that never fires in the
-// legacy domain, where exhaustive enumeration always applies.
+// merges (lexicographic pairs) — a weaker rule that never fires up to
+// 16 blocks, where exhaustive enumeration always applies.
 #pragma once
 
 #include <vector>
@@ -28,7 +26,7 @@
 
 namespace fedshare::structure {
 
-/// Knobs for the dynamics. Defaults reproduce policy::merge_split.
+/// Knobs for the dynamics.
 struct HedonicOptions {
   /// Merge/split operations applied before giving up on convergence.
   int max_operations = 200;
@@ -37,8 +35,7 @@ struct HedonicOptions {
   int max_merge_enumeration_blocks = 16;
 };
 
-/// Outcome of the dynamics (field-compatible with the legacy
-/// policy::FormationResult).
+/// Outcome of the dynamics.
 struct HedonicResult {
   game::CoalitionStructure partition;  ///< final partition
   std::vector<double> payoffs;         ///< payoffs under it

@@ -152,57 +152,4 @@ void audit_outcomes(const game::TabularGame& g,
   }
 }
 
-AuditedSchemes audited_compare_schemes(
-    const game::Game& g, const std::vector<double>& availability_weights,
-    const std::vector<double>& consumption_weights,
-    const lp::SimplexOptions& lp_options, const VerifyOptions& options) {
-  return audited_compare_schemes(g, availability_weights, consumption_weights,
-                                 lp_options, options, nullptr, nullptr);
-}
-
-AuditedSchemes audited_compare_schemes(
-    const game::Game& g, const std::vector<double>& availability_weights,
-    const std::vector<double>& consumption_weights,
-    const lp::SimplexOptions& lp_options, const VerifyOptions& options,
-    const game::PlayerPartition* partition,
-    game::QuotientNucleolusInfo* info) {
-  AuditedSchemes result;
-  if (options.level == VerifyLevel::kOff) {
-    result.outcomes =
-        game::compare_schemes(g, availability_weights, consumption_weights,
-                              lp_options, partition, info);
-    return result;
-  }
-
-  // Tabulate once so the audits and the comparison share V(S) reads.
-  const game::TabularGame tab = game::tabulate(g);
-
-  if (options.level == VerifyLevel::kFull) {
-    CertifyingObserver observer(options, lp_options);
-    lp::SimplexOptions observed = lp_options;
-    observed.observer = &observer;
-    result.outcomes =
-        game::compare_schemes(tab, availability_weights, consumption_weights,
-                              observed, partition, info);
-    result.report = audit_game(tab, options);
-    audit_outcomes(tab, result.outcomes, lp_options, options, result.report);
-    result.report.lp = observer.stats();
-    result.report.lp_stats_valid = true;
-    if (result.report.lp.failures > 0) {
-      result.report.add_issue(
-          "lp-certificates",
-          std::to_string(result.report.lp.failures) +
-              " solve(s) exhausted the cascade without a valid certificate",
-          static_cast<double>(result.report.lp.failures));
-    }
-  } else {
-    result.outcomes =
-        game::compare_schemes(tab, availability_weights, consumption_weights,
-                              lp_options, partition, info);
-    result.report = audit_game(tab, options);
-    audit_outcomes(tab, result.outcomes, lp_options, options, result.report);
-  }
-  return result;
-}
-
 }  // namespace fedshare::verify

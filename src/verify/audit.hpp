@@ -21,11 +21,11 @@
 //  * core       — the reported in_core flags agree with a recomputed
 //    max-violation residual.
 //
-// audited_compare_schemes() is the drop-in wrapper the CLI's --verify
-// flag lands on: at kOff it forwards to game::compare_schemes verbatim;
-// at kCheap it adds the audits above; at kFull it additionally attaches
-// a CertifyingObserver so every LP solve inside the run carries a
-// validated certificate (and is repaired by the cascade when not).
+// runtime::compare_schemes_resilient_verified() is where the CLI's
+// --verify flag lands: at kCheap it runs these audits over the scheme
+// table; at kFull it additionally attaches a CertifyingObserver so every
+// LP solve inside the run carries a validated certificate (and is
+// repaired by the cascade when not).
 #pragma once
 
 #include <cstddef>
@@ -78,31 +78,5 @@ void audit_outcomes(const game::TabularGame& game,
                     const std::vector<game::SchemeOutcome>& outcomes,
                     const lp::SimplexOptions& lp_options,
                     const VerifyOptions& options, AuditReport& report);
-
-/// compare_schemes plus verification. At kOff this is exactly
-/// game::compare_schemes (same results, no extra work).
-struct AuditedSchemes {
-  std::vector<game::SchemeOutcome> outcomes;
-  AuditReport report;
-};
-
-[[nodiscard]] AuditedSchemes audited_compare_schemes(
-    const game::Game& game, const std::vector<double>& availability_weights,
-    const std::vector<double>& consumption_weights,
-    const lp::SimplexOptions& lp_options, const VerifyOptions& options);
-
-/// Partition-aware variant: forwards `partition`/`info` to the
-/// partition-aware game::compare_schemes, so the nucleolus runs on the
-/// orbit-row quotient formulation when the partition is non-trivial —
-/// and, at n <= 12, the audit independently re-checks the expanded
-/// allocation's excess optimality from raw full-lattice data. At kFull
-/// every orbit probe LP runs under the certificate cascade exactly like
-/// the dense rows did.
-[[nodiscard]] AuditedSchemes audited_compare_schemes(
-    const game::Game& game, const std::vector<double>& availability_weights,
-    const std::vector<double>& consumption_weights,
-    const lp::SimplexOptions& lp_options, const VerifyOptions& options,
-    const game::PlayerPartition* partition,
-    game::QuotientNucleolusInfo* info = nullptr);
 
 }  // namespace fedshare::verify

@@ -1,7 +1,11 @@
 // Tests for the CLI runner (config -> federation -> report).
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/runner.hpp"
 #include "core/game_io.hpp"
@@ -22,6 +26,27 @@ constexpr const char* kPaperConfig =
     "[demand]\n"
     "count = 1\n"
     "min_locations = 500\n";
+
+#ifndef FEDSHARE_SOURCE_DIR
+#error "tests/CMakeLists.txt must define FEDSHARE_SOURCE_DIR"
+#endif
+
+io::Config config_file(const std::string& relative) {
+  std::ifstream in(std::string(FEDSHARE_SOURCE_DIR) + "/" + relative);
+  EXPECT_TRUE(in) << "missing " << relative;
+  return io::Config::parse(in);
+}
+
+// The report minus its Resilience section (heading through the line
+// before the next heading, or the end of the report).
+std::string without_resilience(const std::string& report) {
+  const std::string heading = "\nResilience\n==========\n";
+  const auto begin = report.find(heading);
+  if (begin == std::string::npos) return report;
+  const auto blank = report.find("\n\n", begin + heading.size());
+  if (blank == std::string::npos) return report.substr(0, begin);
+  return report.substr(0, begin) + report.substr(blank + 1);
+}
 
 TEST(CliRunner, BuildsFederationFromConfig) {
   const auto fed = federation_from_config(
@@ -202,6 +227,50 @@ TEST(CliRunner, ExpiredDeadlineStillProducesACompleteReport) {
   // Every scheme still reports shares for every facility.
   EXPECT_NE(report.find("shapley"), std::string::npos);
   EXPECT_NE(report.find("equal"), std::string::npos);
+}
+
+TEST(CliRunner, UnlimitedDeadlineOnlyAddsTheResilienceSection) {
+  // One report body: without --deadline-ms it runs under an unlimited
+  // budget, so a deadline that never trips changes nothing but the
+  // Resilience section — the cache counters included.
+  const auto config = config_file("configs/planetlab.ini");
+  std::vector<std::pair<std::string, ReportOptions>> flag_sets(6);
+  flag_sets[0].first = "no flags";
+  flag_sets[1].first = "--cache-stats";
+  flag_sets[1].second.cache_stats = true;
+  flag_sets[2].first = "--verify cheap";
+  flag_sets[2].second.verify = verify::VerifyLevel::kCheap;
+  flag_sets[3].first = "--verify full";
+  flag_sets[3].second.verify = verify::VerifyLevel::kFull;
+  flag_sets[4].first = "--symmetry auto";
+  flag_sets[4].second.symmetry = game::SymmetryMode::kAuto;
+  flag_sets[5].first = "--structure optimal";
+  flag_sets[5].second.structure = structure::StructureMode::kOptimal;
+  for (const auto& [label, options] : flag_sets) {
+    const ReportResult plain = run_report_result(config, options);
+    ReportOptions budgeted = options;
+    budgeted.deadline_ms = 1e9;
+    const ReportResult timed = run_report_result(config, budgeted);
+    EXPECT_FALSE(plain.degraded()) << label;
+    EXPECT_FALSE(timed.degraded()) << label;
+    EXPECT_EQ(plain.text.find("\nResilience\n"), std::string::npos) << label;
+    EXPECT_NE(timed.text.find("\nResilience\n"), std::string::npos) << label;
+    EXPECT_EQ(without_resilience(timed.text), plain.text) << label;
+  }
+}
+
+TEST(CliRunner, NucleolusPastTheDenseReachDegradesTheReport) {
+  // Eleven unlike facilities: no symmetry quotient, and the dense
+  // nucleolus stops at n = 10. The report still prints the other five
+  // schemes but records the missing row.
+  const auto result = run_report_result(config_file("tests/fixtures/fed11.ini"),
+                                        ReportOptions{});
+  ASSERT_TRUE(result.degraded());
+  ASSERT_EQ(result.degraded_sections.size(), 1u);
+  EXPECT_EQ(result.degraded_sections[0].rfind("nucleolus", 0), 0u);
+  EXPECT_EQ(result.stop, runtime::StopReason::kNone);
+  EXPECT_EQ(result.text.find("\nnucleolus "), std::string::npos);
+  EXPECT_NE(result.text.find("\nbanzhaf "), std::string::npos);
 }
 
 TEST(CliRunner, OutageSectionIsDeterministicGivenTheSeed) {

@@ -11,6 +11,7 @@
 #include "core/game.hpp"
 #include "core/shapley.hpp"
 #include "core/sharing.hpp"
+#include "core/symmetry.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "model/demand.hpp"
@@ -307,6 +308,57 @@ TEST(CompareSchemesResilient, DegradesEverySchemeWithoutATable) {
     EXPECT_NE(o.scheme, game::Scheme::kNucleolus);
     EXPECT_NE(o.scheme, game::Scheme::kBanzhaf);
   }
+}
+
+TEST(CompareSchemesResilient, RecordsANucleolusSkippedByTheBudget) {
+  const model::Federation fed = small_federation();
+  const game::TabularGame g = fed.build_game();
+  EXPECT_EQ(compare_schemes_resilient(g, &g, {}, {}).nucleolus_skip,
+            NucleolusSkip::kNone);
+  // A pre-cancelled budget trips without reading the clock.
+  const CancellationToken token = CancellationToken::create();
+  token.cancel();
+  const auto rs = compare_schemes_resilient(
+      g, &g, {}, {}, ComputeBudget().on_token(token), 32, 5);
+  EXPECT_EQ(rs.nucleolus_skip, NucleolusSkip::kBudget);
+  for (const auto& o : rs.outcomes) {
+    EXPECT_NE(o.scheme, game::Scheme::kNucleolus);
+  }
+  // Without a table the nucleolus is skipped for the same cause.
+  const game::FunctionGame lazy(
+      fed.num_facilities(),
+      [&fed](game::Coalition c) { return fed.value(c); });
+  EXPECT_EQ(compare_schemes_resilient(lazy, nullptr, {}, {},
+                                      ComputeBudget().cap_nodes(0), 32, 5)
+                .nucleolus_skip,
+            NucleolusSkip::kBudget);
+}
+
+TEST(CompareSchemesResilient, RecordsANucleolusPastTheDenseReach) {
+  // n = 11 is past the dense 2^n-row nucleolus; only a non-trivial
+  // partition (here: every player interchangeable) brings it back.
+  const int n = 11;
+  std::vector<double> values(std::size_t{1} << n);
+  for (std::size_t mask = 0; mask < values.size(); ++mask) {
+    const double k = __builtin_popcountll(mask);
+    values[mask] = k * k;
+  }
+  const game::TabularGame g(n, std::move(values));
+  const auto dense = compare_schemes_resilient(g, &g, {}, {});
+  EXPECT_EQ(dense.nucleolus_skip, NucleolusSkip::kTooLarge);
+  for (const auto& o : dense.outcomes) {
+    EXPECT_NE(o.scheme, game::Scheme::kNucleolus);
+  }
+  const game::PlayerPartition one_type =
+      game::PlayerPartition::from_type_of(std::vector<int>(n, 0));
+  const auto quotient = compare_schemes_resilient(
+      g, &g, {}, {}, {}, 4096, 1, lp::SolverKind::kRevised, &one_type);
+  EXPECT_EQ(quotient.nucleolus_skip, NucleolusSkip::kNone);
+  bool has_nucleolus = false;
+  for (const auto& o : quotient.outcomes) {
+    has_nucleolus |= o.scheme == game::Scheme::kNucleolus;
+  }
+  EXPECT_TRUE(has_nucleolus);
 }
 
 // --- the outage model ----------------------------------------------------

@@ -1,8 +1,7 @@
 // Tests for the coalition-structure engine (src/structure): the
 // anchored subset-lattice DP vs brute-force Bell(n) enumeration
-// (bitwise agreement — same canonical welfare fold), the typed CSG on
-// the symmetry quotient, budget degradation at exact unit boundaries,
-// the hedonic merge/split engine and its policy::merge_split shim, the
+// (bitwise agreement — same canonical welfare fold), budget degradation
+// at exact unit boundaries, the hedonic merge/split engine, the
 // stability analyzer, and the CoalitionStructure validator's
 // line-precise error messages.
 #include <gtest/gtest.h>
@@ -21,12 +20,11 @@
 #include "core/owen.hpp"
 #include "core/symmetry.hpp"
 #include "exec/pool.hpp"
-#include "policy/coalition_formation.hpp"
+#include "model/federation.hpp"
 #include "runtime/budget.hpp"
 #include "structure/csg.hpp"
 #include "structure/hedonic.hpp"
 #include "structure/stability.hpp"
-#include "structure/typed_csg.hpp"
 
 namespace fedshare::structure {
 namespace {
@@ -155,81 +153,6 @@ TEST(StructureParallelTest, DegradedResultIsThreadCountInvariant) {
   expect_bitwise_equal(a, b);
 }
 
-// ------------------------------------------------------------- typed --
-
-// Symmetric base game: the value depends only on how many members of
-// each type a coalition holds.
-game::TabularGame typed_game(const std::vector<int>& type_of,
-                             std::uint64_t seed) {
-  const int n = static_cast<int>(type_of.size());
-  int num_types = 0;
-  for (const int t : type_of) num_types = std::max(num_types, t + 1);
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  // One random weight per type plus a concave mix so partitioning can win.
-  std::vector<double> weight(static_cast<std::size_t>(num_types));
-  for (double& w : weight) w = 1.0 + unit(rng);
-  std::vector<double> values(std::size_t{1} << n, 0.0);
-  for (std::size_t mask = 1; mask < values.size(); ++mask) {
-    std::vector<int> count(static_cast<std::size_t>(num_types), 0);
-    for (int p = 0; p < n; ++p) {
-      if (mask & (std::size_t{1} << p)) {
-        ++count[static_cast<std::size_t>(type_of[static_cast<std::size_t>(p)])];
-      }
-    }
-    double linear = 0.0;
-    int total = 0;
-    for (int t = 0; t < num_types; ++t) {
-      linear += weight[static_cast<std::size_t>(t)] * count[static_cast<std::size_t>(t)];
-      total += count[static_cast<std::size_t>(t)];
-    }
-    values[mask] = linear * std::pow(static_cast<double>(total), 0.7);
-  }
-  return game::TabularGame(n, std::move(values));
-}
-
-TEST(StructureTypedTest, QuotientWelfareMatchesFullLattice) {
-  const std::vector<std::vector<int>> typings = {
-      {0, 0, 0, 1, 1, 2}, {0, 0, 1, 1, 2, 2}, {0, 0, 0, 0, 1, 1, 1, 2}};
-  std::uint64_t seed = 0x7EA;
-  for (const auto& type_of : typings) {
-    const auto base = typed_game(type_of, seed++);
-    const auto partition = game::PlayerPartition::from_type_of(type_of);
-    const game::QuotientGame quotient(base, partition);
-    const auto typed = optimal_structure_typed(quotient);
-    const auto full = optimal_structure(base);
-    ASSERT_TRUE(typed.complete);
-    EXPECT_NEAR(typed.welfare, full.welfare, 1e-9);
-    // The expanded structure is a valid partition whose welfare under
-    // the base game reproduces the typed optimum.
-    EXPECT_NEAR(structure_welfare(base, typed.structure), typed.welfare,
-                1e-9);
-    ASSERT_EQ(typed.block_counts.size(), typed.structure.unions.size());
-  }
-}
-
-TEST(StructureTypedTest, OrbitCountIsProductOfMultiplicitiesPlusOne) {
-  const std::vector<int> type_of = {0, 0, 0, 1, 1, 2};
-  const auto base = typed_game(type_of, 0x0B17);
-  const game::QuotientGame quotient(
-      base, game::PlayerPartition::from_type_of(type_of));
-  const auto typed = optimal_structure_typed(quotient);
-  EXPECT_EQ(typed.orbits, 24u);  // (3+1)(2+1)(1+1)
-}
-
-TEST(StructureTypedTest, DegradesUnderOrbitBudget) {
-  const std::vector<int> type_of = {0, 0, 0, 1, 1, 2};
-  const auto base = typed_game(type_of, 0xDEB);
-  const game::QuotientGame quotient(
-      base, game::PlayerPartition::from_type_of(type_of));
-  const auto degraded = optimal_structure_typed(
-      quotient, runtime::ComputeBudget().cap_nodes(2));
-  EXPECT_FALSE(degraded.complete);
-  EXPECT_EQ(degraded.stop, runtime::StopReason::kNodeCap);
-  // Degraded incumbent is still a valid partition of the base game.
-  degraded.structure.validate(base.num_players());
-}
-
 // ------------------------------------------------------------ budget --
 
 // FunctionGame charging: the incumbent phase materialises 5 singletons
@@ -293,30 +216,12 @@ double glove_value(game::Coalition s) {
   return std::min(left, right);
 }
 
-TEST(StructureHedonicTest, ShimReproducesEngineExactly) {
-  const game::FunctionGame g(4, [](game::Coalition s) {
-    double v = s.size() * 2.0;
-    if (s.contains(0) && s.contains(3)) v += 3.0;
-    return s.empty() ? 0.0 : v;
-  });
-  const auto engine = hedonic_merge_split(g);
-  const auto shim = policy::merge_split(g);
-  ASSERT_EQ(engine.partition.unions.size(), shim.partition.unions.size());
-  for (std::size_t k = 0; k < engine.partition.unions.size(); ++k) {
-    EXPECT_EQ(engine.partition.unions[k], shim.partition.unions[k]);
-  }
-  EXPECT_EQ(engine.payoffs, shim.payoffs);  // identical doubles
-  EXPECT_EQ(engine.iterations, shim.iterations);
-  EXPECT_EQ(engine.converged, shim.converged);
-}
-
 TEST(StructureHedonicTest, EngineHasNoPlayerCap) {
-  // n = 11 throws through the legacy shim but runs on the engine.
+  // n = 11 was past the historical n <= 10 envelope.
   const game::FunctionGame g(11, [](game::Coalition s) {
     const double k = static_cast<double>(s.size());
     return k * k;
   });
-  EXPECT_THROW((void)policy::merge_split(g), std::invalid_argument);
   const auto result = hedonic_merge_split(g);
   EXPECT_TRUE(result.converged);
   ASSERT_EQ(result.partition.unions.size(), 1u);
@@ -351,6 +256,98 @@ TEST(StructureHedonicTest, OperationCapReportsNonConvergence) {
   const auto result = hedonic_merge_split(g, opts);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 1);
+}
+
+TEST(PartitionPayoffs, BlocksEarnTheirValueSplitByShapley) {
+  const game::FunctionGame g(3, glove_value);
+  game::CoalitionStructure partition;
+  partition.unions = {game::Coalition::of({0, 1}),
+                      game::Coalition::single(2)};
+  const auto payoffs = partition_payoffs(g, partition);
+  // {0,1} is worth 1: split (1/2, 1/2) by within-block Shapley; {2}
+  // earns nothing alone.
+  EXPECT_NEAR(payoffs[0], 0.5, 1e-12);
+  EXPECT_NEAR(payoffs[1], 0.5, 1e-12);
+  EXPECT_NEAR(payoffs[2], 0.0, 1e-12);
+}
+
+TEST(MergeSplit, GloveGameFormsAValueCreatingCoalition) {
+  const game::FunctionGame g(3, glove_value);
+  const auto result = hedonic_merge_split(g);
+  EXPECT_TRUE(result.converged);
+  // Total payoff equals the total value generated; in the glove game a
+  // matched pair is formed (value 1 > the zero of singletons).
+  const double total = std::accumulate(result.payoffs.begin(),
+                                       result.payoffs.end(), 0.0);
+  EXPECT_NEAR(total, 1.0, 1e-9);
+  EXPECT_GT(result.iterations, 0);
+}
+
+TEST(MergeSplit, NegativeSynergyStaysApart) {
+  // Strictly subadditive game: any merge strictly hurts.
+  const game::FunctionGame g(3, [](game::Coalition s) {
+    return std::sqrt(static_cast<double>(s.size())) * 4.0;
+  });
+  const auto result = hedonic_merge_split(g);
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.partition.unions.size(), 3u);
+  EXPECT_EQ(result.iterations, 0);
+  for (const double p : result.payoffs) EXPECT_NEAR(p, 4.0, 1e-9);
+}
+
+TEST(MergeSplit, SuperadditiveGameReachesGrandCoalition) {
+  const game::FunctionGame g(4, [](game::Coalition s) {
+    const double k = s.size();
+    return k * k;
+  });
+  const auto result = hedonic_merge_split(g);
+  EXPECT_TRUE(result.converged);
+  ASSERT_EQ(result.partition.unions.size(), 1u);
+  EXPECT_EQ(result.partition.unions[0], game::Coalition::grand(4));
+  for (const double p : result.payoffs) EXPECT_NEAR(p, 4.0, 1e-9);
+}
+
+TEST(MergeSplit, DeterministicAcrossRuns) {
+  const game::FunctionGame g(4, [](game::Coalition s) {
+    double v = s.size() * 2.0;
+    if (s.contains(0) && s.contains(3)) v += 3.0;
+    return s.empty() ? 0.0 : v;
+  });
+  const auto a = hedonic_merge_split(g);
+  const auto b = hedonic_merge_split(g);
+  ASSERT_EQ(a.partition.unions.size(), b.partition.unions.size());
+  for (std::size_t i = 0; i < a.partition.unions.size(); ++i) {
+    EXPECT_EQ(a.partition.unions[i], b.partition.unions[i]);
+  }
+  EXPECT_EQ(a.payoffs, b.payoffs);
+}
+
+TEST(MergeSplit, StabilityCheckAgreesWithDynamics) {
+  const game::FunctionGame g(3, glove_value);
+  const auto result = hedonic_merge_split(g);
+  ASSERT_TRUE(result.converged);
+  EXPECT_TRUE(is_merge_split_stable(g, result.partition));
+  game::CoalitionStructure singles;
+  for (int i = 0; i < 3; ++i) {
+    singles.unions.push_back(game::Coalition::single(i));
+  }
+  EXPECT_FALSE(is_merge_split_stable(g, singles));
+}
+
+TEST(MergeSplit, FederationGrandCoalitionWhenDiversityGates) {
+  // Paper setting, l = 1250: only the grand coalition serves the
+  // customer, so the dynamics must assemble everyone.
+  std::vector<model::FacilityConfig> configs{
+      {"F1", 100, 1.0, 1.0}, {"F2", 400, 1.0, 1.0}, {"F3", 800, 1.0, 1.0}};
+  model::Federation fed(model::LocationSpace::disjoint(configs),
+                        model::DemandProfile::single_experiment(1250.0));
+  const auto g = fed.build_game();
+  const auto result = hedonic_merge_split(g);
+  EXPECT_TRUE(result.converged);
+  ASSERT_EQ(result.partition.unions.size(), 1u);
+  for (const double p : result.payoffs) {
+    EXPECT_NEAR(p, 1300.0 / 3.0, 1e-6);  // equal thirds (Fig. 4 tail)
+  }
 }
 
 // --------------------------------------------------------- stability --

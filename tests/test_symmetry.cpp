@@ -370,17 +370,17 @@ TEST_F(SymmetryPropertyTest, FederationQuotientMatchesFullTabulation) {
 
 TEST_F(SymmetryPropertyTest, FederationBudgetedQuotientMatchesAndTrips) {
   const model::Federation fed = typed_federation();
-  const auto unlimited = fed.build_game_budgeted(
-      SymmetryMode::kExact, runtime::ComputeBudget::unlimited());
+  const PlayerPartition exact = fed.symmetry_partition(SymmetryMode::kExact);
+  const auto unlimited =
+      fed.build_game_budgeted(exact, runtime::ComputeBudget::unlimited());
   ASSERT_TRUE(unlimited.has_value());
   EXPECT_EQ(unlimited->values(),
             fed.build_game(SymmetryMode::kExact).values());
 
   const model::Federation fresh = typed_federation();
-  EXPECT_FALSE(fresh
-                   .build_game_budgeted(SymmetryMode::kExact,
-                                        runtime::ComputeBudget().cap_nodes(2))
-                   .has_value());
+  EXPECT_FALSE(
+      fresh.build_game_budgeted(exact, runtime::ComputeBudget().cap_nodes(2))
+          .has_value());
 }
 
 TEST_F(SymmetryPropertyTest, SweepQuotientMatchesFullSweep) {

@@ -286,6 +286,21 @@ game::TabularGame convex_game(int n) {
   return game::TabularGame(n, std::move(values));
 }
 
+// The scheme table and its audit through the entry point the CLI report
+// runs, on the revised engine with an unlimited budget.
+struct Audited {
+  runtime::ResilientSchemes schemes;
+  verify::AuditReport report;
+};
+
+Audited audited_schemes(const game::TabularGame& g,
+                        const VerifyOptions& vopts) {
+  Audited a;
+  a.schemes = runtime::compare_schemes_resilient_verified(
+      g, &g, {}, {}, vopts, &a.report, {}, 4096, 1, SolverKind::kRevised);
+  return a;
+}
+
 TEST(VerifyAudit, CleanGamePasses) {
   const auto g = convex_game(6);
   VerifyOptions vopts;
@@ -341,12 +356,9 @@ TEST(VerifyAudit, FullLevelCertifiesEveryNucleolusSolveN10) {
   // tens of seconds regardless of verification, which the zero
   // refined/escalated tallies below prove.
   const auto g = convex_game(10);
-  SimplexOptions lp_options;
-  lp_options.solver = SolverKind::kRevised;
   VerifyOptions vopts;
   vopts.level = VerifyLevel::kFull;
-  const auto audited = verify::audited_compare_schemes(
-      g, {}, {}, lp_options, vopts);
+  const auto audited = audited_schemes(g, vopts);
   EXPECT_TRUE(audited.report.passed);
   ASSERT_TRUE(audited.report.lp_stats_valid);
   EXPECT_GT(audited.report.lp.solves, 1000u);
@@ -358,20 +370,15 @@ TEST(VerifyAudit, FullLevelCertifiesEveryNucleolusSolveN10) {
 
 TEST(VerifyAudit, FullLevelDoesNotChangeAnswers) {
   const auto g = convex_game(6);
-  SimplexOptions lp_options;
-  lp_options.solver = SolverKind::kRevised;
   VerifyOptions vopts;
   vopts.level = VerifyLevel::kFull;
-  const auto audited = verify::audited_compare_schemes(
-      g, {}, {}, lp_options, vopts);
-  const auto plain = verify::audited_compare_schemes(
-      g, {}, {}, lp_options, VerifyOptions{});
-  ASSERT_EQ(plain.outcomes.size(), audited.outcomes.size());
-  for (std::size_t i = 0; i < plain.outcomes.size(); ++i) {
-    ASSERT_EQ(plain.outcomes[i].scheme, audited.outcomes[i].scheme);
-    for (std::size_t j = 0; j < plain.outcomes[i].shares.size(); ++j) {
-      EXPECT_NEAR(plain.outcomes[i].shares[j],
-                  audited.outcomes[i].shares[j], 1e-9);
+  const auto audited = audited_schemes(g, vopts).schemes.outcomes;
+  const auto plain = audited_schemes(g, VerifyOptions{}).schemes.outcomes;
+  ASSERT_EQ(plain.size(), audited.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    ASSERT_EQ(plain[i].scheme, audited[i].scheme);
+    for (std::size_t j = 0; j < plain[i].shares.size(); ++j) {
+      EXPECT_NEAR(plain[i].shares[j], audited[i].shares[j], 1e-9);
     }
   }
 }
@@ -380,11 +387,7 @@ TEST(VerifyAudit, FaultedRunIsRepairedEndToEnd) {
   // Corrupt every primary nucleolus solve; the cascade must repair each
   // one so the final shares match an unfaulted run.
   const auto g = convex_game(5);
-  SimplexOptions lp_options;
-  lp_options.solver = SolverKind::kRevised;
-
-  const auto clean = verify::audited_compare_schemes(
-      g, {}, {}, lp_options, VerifyOptions{});
+  const auto clean = audited_schemes(g, VerifyOptions{}).schemes.outcomes;
 
   VerifyOptions vopts;
   vopts.level = VerifyLevel::kFull;
@@ -394,18 +397,17 @@ TEST(VerifyAudit, FaultedRunIsRepairedEndToEnd) {
     s.objective += 0.25;
     if (!s.x.empty()) s.x[0] -= 0.25;
   };
-  const auto audited = verify::audited_compare_schemes(
-      g, {}, {}, lp_options, vopts);
+  const auto audited = audited_schemes(g, vopts);
   ASSERT_TRUE(audited.report.lp_stats_valid);
   EXPECT_EQ(audited.report.lp.failures, 0u);
   EXPECT_GE(audited.report.lp.refined + audited.report.lp.escalated, 1u);
 
-  ASSERT_EQ(clean.outcomes.size(), audited.outcomes.size());
-  for (std::size_t i = 0; i < clean.outcomes.size(); ++i) {
-    for (std::size_t j = 0; j < clean.outcomes[i].shares.size(); ++j) {
-      EXPECT_NEAR(clean.outcomes[i].shares[j],
-                  audited.outcomes[i].shares[j], 1e-7)
-          << game::to_string(clean.outcomes[i].scheme);
+  const auto& outcomes = audited.schemes.outcomes;
+  ASSERT_EQ(clean.size(), outcomes.size());
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    for (std::size_t j = 0; j < clean[i].shares.size(); ++j) {
+      EXPECT_NEAR(clean[i].shares[j], outcomes[i].shares[j], 1e-7)
+          << game::to_string(clean[i].scheme);
     }
   }
 }

@@ -44,8 +44,10 @@ federation described by the config file. With --dump-game, additionally
 writes the characteristic function in the fedshare-game v1 format.
 
 Exit codes: 0 success, 1 input/config error, 2 usage error, 3 report or
-serve run degraded under the compute budget (partial but bounded output
-— a one-line note on stderr says which sections degraded and why),
+serve run degraded (a section cut short by the compute budget, or a
+nucleolus past the dense engine's n <= 10 reach without a symmetry
+quotient; partial but bounded output — a one-line note on stderr says
+which sections degraded and why),
 4 recovery used a fallback (a torn log tail was dropped or a corrupt
 checkpoint skipped; the answer is exact for the surviving history and
 each fallback is noted on stderr).
@@ -508,9 +510,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (degraded) {
-    std::cerr << "fedshare_cli: report degraded under the budget ("
-              << fedshare::runtime::to_string(stop)
-              << "): " << degraded_sections << "\n";
+    // Only a tripped budget names a stop reason; a section degraded for
+    // another cause (a nucleolus past the dense engine's reach) names
+    // its cause in its own label.
+    std::cerr << "fedshare_cli: report degraded";
+    if (stop != fedshare::runtime::StopReason::kNone) {
+      std::cerr << " under the budget ("
+                << fedshare::runtime::to_string(stop) << ")";
+    }
+    std::cerr << ": " << degraded_sections << "\n";
     return 3;
   }
   return 0;
