@@ -271,6 +271,13 @@ TEST(PartitionPayoffs, BlocksEarnTheirValueSplitByShapley) {
   EXPECT_NEAR(payoffs[2], 0.0, 1e-12);
 }
 
+TEST(PartitionPayoffs, ValidatesPartition) {
+  const game::FunctionGame g(3, glove_value);
+  game::CoalitionStructure bad;
+  bad.unions = {game::Coalition::of({0, 1})};
+  EXPECT_THROW((void)partition_payoffs(g, bad), std::invalid_argument);
+}
+
 TEST(MergeSplit, GloveGameFormsAValueCreatingCoalition) {
   const game::FunctionGame g(3, glove_value);
   const auto result = hedonic_merge_split(g);
@@ -305,6 +312,18 @@ TEST(MergeSplit, SuperadditiveGameReachesGrandCoalition) {
   ASSERT_EQ(result.partition.unions.size(), 1u);
   EXPECT_EQ(result.partition.unions[0], game::Coalition::grand(4));
   for (const double p : result.payoffs) EXPECT_NEAR(p, 4.0, 1e-9);
+}
+
+TEST(MergeSplit, SplitsAnInefficientGrandCoalition) {
+  // Start from the grand coalition of a subadditive game: it must split.
+  const game::FunctionGame g(3, [](game::Coalition s) {
+    return std::sqrt(static_cast<double>(s.size())) * 4.0;
+  });
+  game::CoalitionStructure grand;
+  grand.unions = {game::Coalition::grand(3)};
+  const auto result = hedonic_merge_split(g, std::move(grand));
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.partition.unions.size(), 3u);
 }
 
 TEST(MergeSplit, DeterministicAcrossRuns) {
