@@ -22,6 +22,16 @@ sim::Xoshiro256 scenario_rng(std::uint64_t seed, std::uint64_t scenario) {
   return sim::Xoshiro256(mix.next());
 }
 
+// True when a scenario's scheme table carries a note that makes its rows
+// incomparable with the other scenarios'. The one exception is a
+// nucleolus skipped because n > 10 without a partition: it is missing
+// from every scenario alike, so that note alone keeps the scenario.
+bool incomparable(const ResilientSchemes& rs) {
+  const std::size_t per_n_notes =
+      rs.nucleolus_skip == NucleolusSkip::kTooLarge ? 1 : 0;
+  return rs.notes.size() > per_n_notes;
+}
+
 double quantile(const std::vector<double>& sorted, double p) {
   const std::size_t n = sorted.size();
   if (n == 1) return sorted[0];
@@ -124,11 +134,10 @@ OutageReport evaluate_outages(const model::Federation& fed, int scenarios,
         slot.rs = compare_schemes_resilient(
             *tab, &*tab, degraded.availability_weights(),
             degraded.consumption_weights(), b);
-        // All-or-nothing per scenario: a degraded computation (any note)
-        // would make this scenario's rows incomparable with the rest, so
-        // it is discarded and the evaluation stops at the truncation
-        // point.
-        if (!slot.rs.notes.empty()) return false;
+        // All-or-nothing per scenario: a degraded computation would make
+        // this scenario's rows incomparable with the rest, so it is
+        // discarded and the evaluation stops at the truncation point.
+        if (incomparable(slot.rs)) return false;
         slot.grand = tab->grand_value();
         slot.ok = true;
         return true;

@@ -9,6 +9,7 @@
 
 #include "cli/runner.hpp"
 #include "core/game_io.hpp"
+#include "runtime/outage.hpp"
 
 namespace fedshare::cli {
 namespace {
@@ -271,6 +272,38 @@ TEST(CliRunner, NucleolusPastTheDenseReachDegradesTheReport) {
   EXPECT_EQ(result.stop, runtime::StopReason::kNone);
   EXPECT_EQ(result.text.find("\nnucleolus "), std::string::npos);
   EXPECT_NE(result.text.find("\nbanzhaf "), std::string::npos);
+}
+
+TEST(CliRunner, OutageScenariosKeepTheirRowsPastTheDenseNucleolus) {
+  // Every scenario at n = 11 skips the dense nucleolus alike, so that
+  // skip must not truncate the outage distribution.
+  const auto fed =
+      federation_from_config(config_file("tests/fixtures/fed11.ini"));
+  const auto report = runtime::evaluate_outages(fed, 3, 1);
+  EXPECT_TRUE(report.complete());
+  EXPECT_EQ(report.scenarios_evaluated, 3);
+  EXPECT_FALSE(report.schemes.empty());
+}
+
+TEST(CliRunner, TypedReportWithOutagesPastTheDenseNucleolusIsClean) {
+  // Twelve facilities of two types: the quotient nucleolus answers the
+  // report, and the outage scenarios (no partition) skip only the
+  // nucleolus, so nothing degrades.
+  std::string config;
+  for (int i = 0; i < 12; ++i) {
+    config += i % 2 == 0
+                  ? "[facility]\nlocations = 4\nunits = 2\navailability = 0.9\n"
+                  : "[facility]\nlocations = 6\nunits = 3\navailability = 0.9\n";
+  }
+  config += "[demand]\ncount = 3\nmin_locations = 8\n";
+  ReportOptions opts;
+  opts.symmetry = game::SymmetryMode::kExact;
+  opts.outage_scenarios = 2;
+  const auto result =
+      run_report_result(io::Config::parse_string(config), opts);
+  EXPECT_FALSE(result.degraded());
+  EXPECT_NE(result.text.find("scenarios: 2/2 (seed 1)\n"), std::string::npos);
+  EXPECT_NE(result.text.find("\nnucleolus "), std::string::npos);
 }
 
 TEST(CliRunner, OutageSectionIsDeterministicGivenTheSeed) {
