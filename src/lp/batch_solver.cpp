@@ -15,8 +15,8 @@ constexpr double kFeasTol = 1e-7;
 constexpr double kDualTol = 1e-7;
 
 // Lanes per FTRAN panel tile. The panel is dense (num_rows doubles per
-// lane), so a tile stays cache-resident while the LU streams through it
-// once per tile instead of once per member.
+// lane), so a tile stays cache-resident while the factors stream through
+// it once per tile instead of once per member.
 constexpr std::size_t kPanelLanes = 16;
 
 }  // namespace
@@ -72,7 +72,7 @@ void BatchSolver::refresh_y() {
   for (std::size_t p = 0; p < m; ++p) {
     y_[p] = engine_.internal_cost(engine_.basic_[p]);
   }
-  engine_.btran(y_);
+  engine_.factor_.btran(y_);
   d_.resize(engine_.num_cols_);
   for (std::size_t j = 0; j < engine_.num_cols_; ++j) {
     d_[j] = engine_.internal_cost(j) - engine_.column_dot(j, y_);
@@ -143,62 +143,6 @@ bool BatchSolver::dual_feasible_from_d() const {
   return true;
 }
 
-void BatchSolver::panel_ftran(std::vector<double>& panel, std::size_t lanes) {
-  const std::size_t m = engine_.num_rows_;
-  const Matrix& lu = engine_.lu_;
-  const std::vector<std::size_t>& perm = engine_.perm_;
-  std::vector<double>& t = panel_work_;
-  t.resize(m * lanes);
-  // The panel is slot-major (slot i's lane values are contiguous at
-  // panel[i * lanes]), so the lane loop is innermost and the compiler
-  // can vectorize it. Per lane the operation order is still exactly
-  // RevisedSimplex::ftran — permute, forward L-solve (k ascending),
-  // backward U-solve (c ascending, one division) — because every slot
-  // update applies the same multiplier to all lanes at once: lanes are
-  // independent FP chains, never mixed, never reordered. (The scalar
-  // ftran folds into an `acc` register; updating the slot in memory per
-  // step performs the identical sequence of subtractions.)
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* src = panel.data() + perm[i] * lanes;
-    double* dst = t.data() + i * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) dst[l] = src[l];
-  }
-  std::copy(t.begin(), t.end(), panel.begin());
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* row = lu.row_data(i);
-    double* vi = panel.data() + i * lanes;
-    for (std::size_t k = 0; k < i; ++k) {
-      const double rk = row[k];
-      const double* vk = panel.data() + k * lanes;
-      for (std::size_t l = 0; l < lanes; ++l) vi[l] -= rk * vk[l];
-    }
-  }
-  for (std::size_t ii = m; ii-- > 0;) {
-    const double* row = lu.row_data(ii);
-    double* vi = panel.data() + ii * lanes;
-    for (std::size_t c = ii + 1; c < m; ++c) {
-      const double rc = row[c];
-      const double* vc = panel.data() + c * lanes;
-      for (std::size_t l = 0; l < lanes; ++l) vi[l] -= rc * vc[l];
-    }
-    const double piv = row[ii];
-    for (std::size_t l = 0; l < lanes; ++l) vi[l] /= piv;
-  }
-  // A valid frame has an empty eta file (pivots invalidate it), but the
-  // roll-forward is kept for exactness should that invariant ever relax.
-  for (const RevisedSimplex::Eta& e : engine_.etas_) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const double pivot_val = panel[e.row * lanes + l];
-      if (pivot_val == 0.0) continue;
-      for (std::size_t i = 0; i < m; ++i) {
-        double& slot = panel[i * lanes + l];
-        slot = i == e.row ? e.coef[i] * pivot_val
-                          : slot + e.coef[i] * pivot_val;
-      }
-    }
-  }
-}
-
 Solution BatchSolver::spill_solve(const Basis& basis,
                                   const ProblemPatch& patch,
                                   Basis* basis_out) {
@@ -206,9 +150,9 @@ Solution BatchSolver::spill_solve(const Basis& basis,
   // member's patch, one warm (or cold) solve. Copy-assignment reuses the
   // spill engine's allocations where vector capacities allow, and when
   // the frame already factorized this basis the spill solve is seeded
-  // with the frame's LU — factorize() is a pure function of the basic
-  // set and the immutable columns, so the seed is the bitwise LU the
-  // spill engine would recompute.
+  // with the frame's factors — factorize() is a pure function of the
+  // basic set and the immutable columns, so the seed is the bitwise LU
+  // the spill engine would recompute.
   ++stats_.spilled;
   spill_ = pristine_;
   spill_.apply(patch);
@@ -216,8 +160,8 @@ Solution BatchSolver::spill_solve(const Basis& basis,
   if (basis.empty()) {
     out = spill_.solve();
   } else if (frame_ok_) {
-    out = spill_.solve_from_basis_impl(basis, &engine_.basic_, &engine_.lu_,
-                                       &engine_.perm_);
+    out = spill_.solve_from_basis_impl(basis, &engine_.basic_,
+                                       &engine_.factor_);
   } else {
     out = spill_.solve_from_basis(basis);
   }
@@ -316,8 +260,8 @@ void BatchSolver::solve_group(const Basis& basis,
         for (std::size_t l = 0; l < lanes; ++l) {
           const std::size_t i = tile + l;
           // compute_basic_values' pre-FTRAN assembly, lane-local. The
-          // panel is slot-major (see panel_ftran), so lane l's slot s
-          // lives at panel_[s * lanes + l]. Member 0 starts from
+          // panel is slot-major (see BasisLu::ftran_panel), so lane l's
+          // slot s lives at panel_[s * lanes + l]. Member 0 starts from
           // prepare()'s row_rhs_; later members write base_row_rhs_
           // plus their patch rows straight into their lane (the values
           // are identical — this just skips a row_rhs_ roundtrip).
@@ -336,7 +280,7 @@ void BatchSolver::solve_group(const Basis& basis,
           }
           for (const auto& [j, val] : nonbasic_nz_) {
             if (j < engine_.n_) {
-              for (const RevisedSimplex::ColEntry& e : engine_.cols_[j]) {
+              for (const ColEntry& e : engine_.cols_[j]) {
                 p[e.row * lanes + l] -= e.value * val;
               }
             } else {
@@ -344,7 +288,7 @@ void BatchSolver::solve_group(const Basis& basis,
             }
           }
         }
-        panel_ftran(panel_, lanes);
+        engine_.factor_.ftran_panel(panel_, lanes, panel_work_);
         for (std::size_t l = 0; l < lanes; ++l) {
           const std::size_t i = tile + l;
           engine_.x_basic_.resize(m);

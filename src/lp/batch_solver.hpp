@@ -11,14 +11,15 @@
 //
 // BatchSolver exploits that: it adopts and factorizes once per group,
 // FTRANs the members' rhs vectors as a dense panel against the shared
-// LU (identical per-lane operation order, so each lane is bitwise equal
-// to the single-rhs FTRAN), and finishes each member with the shared
-// btran'd cost vector. A member is "fast" when its basic values are
-// primal feasible and pricing finds no entering column — then the warm
-// solve performs zero pivots and the Solution is a pure function of
-// state the panel already computed. Any member that would pivot spills
-// to the ordinary single-solve path, so every result — fast or spilled
-// — is bit-identical to today's per-LP warm chain.
+// sparse LU (BasisLu::ftran_panel: identical per-lane operation order,
+// so each lane is bitwise equal to the single-rhs FTRAN), and finishes
+// each member with the shared btran'd cost vector. A member is "fast"
+// when its basic values are primal feasible and pricing finds no
+// entering column — then the warm solve performs zero pivots and the
+// Solution is a pure function of state the panel already computed. Any
+// member that would pivot spills to the ordinary single-solve path, so
+// every result — fast or spilled — is bit-identical to today's per-LP
+// warm chain.
 //
 // Three entry points, one per call-site shape:
 //  * solve_group     — a whole level of rhs-patched siblings sharing one
@@ -129,12 +130,6 @@ class BatchSolver {
   [[nodiscard]] bool primal_feasible() const;
   [[nodiscard]] bool pricing_none() const;
   [[nodiscard]] bool dual_feasible_from_d() const;
-  // Block-FTRANs `lanes` rhs vectors (slot-major: slot i's lane values
-  // contiguous at panel[i * lanes]) through the frame LU; each lane's
-  // operation order is identical to RevisedSimplex::ftran, so lanes are
-  // bitwise equal to single solves, while the innermost lane loop
-  // vectorizes.
-  void panel_ftran(std::vector<double>& panel, std::size_t lanes);
   [[nodiscard]] Solution spill_solve(const Basis& basis,
                                      const ProblemPatch& patch,
                                      Basis* basis_out);
@@ -156,7 +151,7 @@ class BatchSolver {
   std::vector<double> d_;  ///< reduced cost per column against y_
 
   std::vector<double> panel_;       ///< rhs panel (slot-major lanes)
-  std::vector<double> panel_work_;  ///< permutation scratch
+  std::vector<double> panel_work_;  ///< ftran_panel output scratch
   // Group-invariant assembly list: the (column, nonbasic value) pairs
   // with nonzero contribution, in ascending column order — the exact
   // subtraction sequence compute_basic_values performs per rhs.

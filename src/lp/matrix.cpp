@@ -1,6 +1,5 @@
 #include "lp/matrix.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace fedshare::lp {
@@ -37,14 +36,6 @@ void Matrix::scale_row(std::size_t r, double factor) {
   }
   double* dst = row_data(r);
   for (std::size_t c = 0; c < cols_; ++c) dst[c] *= factor;
-}
-
-void Matrix::swap_rows(std::size_t a, std::size_t b) {
-  if (a >= rows_ || b >= rows_) {
-    throw std::out_of_range("Matrix::swap_rows: row out of range");
-  }
-  if (a == b) return;
-  std::swap_ranges(row_data(a), row_data(a) + cols_, row_data(b));
 }
 
 }  // namespace fedshare::lp

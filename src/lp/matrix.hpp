@@ -17,15 +17,6 @@ class Matrix {
   /// Creates a rows x cols matrix filled with `fill`.
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-  /// Re-shapes to rows x cols filled with `fill`, reusing the existing
-  /// allocation when capacity allows (the revised simplex refactorizes
-  /// on a fixed cadence and must not pay an allocation each time).
-  void assign(std::size_t rows, std::size_t cols, double fill) {
-    rows_ = rows;
-    cols_ = cols;
-    data_.assign(rows * cols, fill);
-  }
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
 
@@ -46,9 +37,6 @@ class Matrix {
 
   /// row(r) *= factor.
   void scale_row(std::size_t r, double factor);
-
-  /// Swaps two rows.
-  void swap_rows(std::size_t a, std::size_t b);
 
   /// Pointer to the start of row r (contiguous cols() doubles).
   [[nodiscard]] double* row_data(std::size_t r) noexcept {

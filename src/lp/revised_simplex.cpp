@@ -19,8 +19,6 @@ constexpr double kDualTol = 1e-7;
 constexpr double kPivTol = 1e-8;
 // Ratio-test tie window.
 constexpr double kRatioTol = 1e-9;
-// LU pivot below this aborts factorization as singular.
-constexpr double kSingularTol = 1e-11;
 // A step below this counts as degenerate for stall tracking.
 constexpr double kDegenTol = 1e-10;
 // Consecutive degenerate pivots before switching to Bland's rule.
@@ -331,13 +329,8 @@ void RevisedSimplex::reset_to_slack_basis() {
     status_[n_ + r] = VarStatus::kBasic;
     basic_[r] = n_ + r;
   }
-  recycle_etas();
+  factor_.clear_etas();
   has_basis_ = true;
-}
-
-void RevisedSimplex::recycle_etas() {
-  for (Eta& e : etas_) eta_pool_.push_back(std::move(e));
-  etas_.clear();
 }
 
 void RevisedSimplex::adopt_statuses(const Basis& basis) {
@@ -390,7 +383,7 @@ void RevisedSimplex::adopt_statuses(const Basis& basis) {
   for (std::size_t j = 0; j < num_cols_; ++j) {
     if (status_[j] == VarStatus::kBasic) basic_.push_back(j);
   }
-  recycle_etas();
+  factor_.clear_etas();
   has_basis_ = true;
 }
 
@@ -421,101 +414,9 @@ double RevisedSimplex::column_dot(std::size_t j,
 }
 
 bool RevisedSimplex::factorize() {
-  const std::size_t m = num_rows_;
-  lu_.assign(m, m, 0.0);
-  for (std::size_t p = 0; p < m; ++p) {
-    const std::size_t j = basic_[p];
-    if (j < n_) {
-      for (const ColEntry& e : cols_[j]) lu_(e.row, p) = e.value;
-    } else {
-      lu_(j - n_, p) = 1.0;
-    }
-  }
-  perm_.resize(m);
-  for (std::size_t i = 0; i < m; ++i) perm_[i] = i;
-  for (std::size_t k = 0; k < m; ++k) {
-    std::size_t piv = k;
-    double best = std::abs(lu_(k, k));
-    for (std::size_t i = k + 1; i < m; ++i) {
-      const double a = std::abs(lu_(i, k));
-      if (a > best) {
-        best = a;
-        piv = i;
-      }
-    }
-    if (best < kSingularTol) {
-      recycle_etas();
-      return false;
-    }
-    if (piv != k) {
-      lu_.swap_rows(piv, k);
-      std::swap(perm_[piv], perm_[k]);
-    }
-    const double pivot = lu_(k, k);
-    for (std::size_t i = k + 1; i < m; ++i) {
-      const double f = lu_(i, k) / pivot;
-      lu_(i, k) = f;
-      if (f != 0.0) {
-        for (std::size_t c = k + 1; c < m; ++c) lu_(i, c) -= f * lu_(k, c);
-      }
-    }
-  }
-  recycle_etas();
-  return true;
-}
-
-void RevisedSimplex::ftran(std::vector<double>& v) const {
-  const std::size_t m = num_rows_;
-  // Solve B0 x = v via PA = LU, then roll the eta updates forward.
-  std::vector<double>& t = ftran_work_;
-  t.resize(m);
-  for (std::size_t i = 0; i < m; ++i) t[i] = v[perm_[i]];
-  for (std::size_t i = 0; i < m; ++i) {
-    double acc = t[i];
-    const double* row = lu_.row_data(i);
-    for (std::size_t k = 0; k < i; ++k) acc -= row[k] * t[k];
-    t[i] = acc;
-  }
-  for (std::size_t ii = m; ii-- > 0;) {
-    double acc = t[ii];
-    const double* row = lu_.row_data(ii);
-    for (std::size_t c = ii + 1; c < m; ++c) acc -= row[c] * t[c];
-    t[ii] = acc / row[ii];
-  }
-  v.swap(t);
-  for (const Eta& e : etas_) {
-    const double pivot_val = v[e.row];
-    if (pivot_val == 0.0) continue;
-    for (std::size_t i = 0; i < m; ++i) {
-      v[i] = i == e.row ? e.coef[i] * pivot_val : v[i] + e.coef[i] * pivot_val;
-    }
-  }
-}
-
-void RevisedSimplex::btran(std::vector<double>& v) const {
-  const std::size_t m = num_rows_;
-  // Transposed etas in reverse order, then B0^T y = w.
-  for (std::size_t ei = etas_.size(); ei-- > 0;) {
-    const Eta& e = etas_[ei];
-    double acc = 0.0;
-    for (std::size_t i = 0; i < m; ++i) acc += e.coef[i] * v[i];
-    v[e.row] = acc;
-  }
-  // B0 = P^T L U  =>  B0^T = U^T L^T P. Forward solve U^T, backward
-  // solve L^T (unit diagonal), undo the permutation.
-  std::vector<double>& t = btran_work_;
-  t.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    double acc = v[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= lu_(k, i) * t[k];
-    t[i] = acc / lu_(i, i);
-  }
-  for (std::size_t ii = m; ii-- > 0;) {
-    double acc = t[ii];
-    for (std::size_t k = ii + 1; k < m; ++k) acc -= lu_(k, ii) * t[k];
-    t[ii] = acc;
-  }
-  for (std::size_t i = 0; i < m; ++i) v[perm_[i]] = t[i];
+  if (factor_.factorize(num_rows_, basic_, n_, cols_)) return true;
+  ++singular_factorizations_;
+  return false;
 }
 
 double RevisedSimplex::nonbasic_value(std::size_t j) const {
@@ -544,25 +445,13 @@ void RevisedSimplex::compute_basic_values() {
       rhs[j - n_] -= val;
     }
   }
-  ftran(rhs);
+  factor_.ftran(rhs);
 }
 
 void RevisedSimplex::push_eta(std::size_t row_pos,
                               const std::vector<double>& w) {
-  const std::size_t m = num_rows_;
-  Eta e;
-  if (!eta_pool_.empty()) {
-    e = std::move(eta_pool_.back());
-    eta_pool_.pop_back();
-  }
-  e.row = row_pos;
-  e.coef.resize(m);
-  const double pivot = w[row_pos];
-  for (std::size_t i = 0; i < m; ++i) {
-    e.coef[i] = i == row_pos ? 1.0 / pivot : -w[i] / pivot;
-  }
-  etas_.push_back(std::move(e));
-  if (etas_.size() >= kRefactorEvery) {
+  factor_.push_eta(row_pos, w);
+  if (factor_.num_etas() >= kRefactorEvery) {
     if (!factorize()) {
       // Numerically wedged: restart from the (always nonsingular) slack
       // basis; the composite phase-1 recovers feasibility.
@@ -579,7 +468,7 @@ bool RevisedSimplex::dual_feasible() const {
   for (std::size_t p = 0; p < num_rows_; ++p) {
     y[p] = internal_cost(basic_[p]);
   }
-  btran(y);
+  factor_.btran(y);
   for (std::size_t j = 0; j < num_cols_; ++j) {
     if (status_[j] == VarStatus::kBasic || is_fixed(j)) continue;
     const double d = internal_cost(j) - column_dot(j, y);
@@ -635,11 +524,11 @@ bool RevisedSimplex::run_dual(Solution& out) {
     std::vector<double>& y = price_work_;
     y.resize(m);
     for (std::size_t p = 0; p < m; ++p) y[p] = internal_cost(basic_[p]);
-    btran(y);
+    factor_.btran(y);
     std::vector<double>& rho = rho_work_;
     rho.assign(m, 0.0);
     rho[leave] = 1.0;
-    btran(rho);
+    factor_.btran(rho);
 
     // Entering: dual ratio test over sign-eligible columns.
     std::size_t enter = npos;
@@ -696,7 +585,7 @@ bool RevisedSimplex::run_dual(Solution& out) {
 
     std::vector<double>& w = col_work_;
     column_into(enter, w);
-    ftran(w);
+    factor_.ftran(w);
     for (std::size_t p = 0; p < m; ++p) {
       if (p != leave) x_basic_[p] -= dxj * w[p];
     }
@@ -763,7 +652,7 @@ bool RevisedSimplex::run_primal(Solution& out) {
         y[p] = 0.0;
       }
     }
-    btran(y);
+    factor_.btran(y);
 
     // Pricing: Dantzig (largest |reduced cost|) normally, Bland
     // (smallest eligible index) while recovering from a stall.
@@ -813,7 +702,7 @@ bool RevisedSimplex::run_primal(Solution& out) {
 
     std::vector<double>& w = col_work_;
     column_into(enter, w);
-    ftran(w);
+    factor_.ftran(w);
 
     // Bounded ratio test. The entering variable's own range is the
     // bound-flip candidate; each basic contributes the step at which it
@@ -939,7 +828,7 @@ bool RevisedSimplex::run_primal(Solution& out) {
 void RevisedSimplex::extract(Solution& out) const {
   std::vector<double> y(num_rows_);
   for (std::size_t p = 0; p < num_rows_; ++p) y[p] = internal_cost(basic_[p]);
-  btran(y);
+  factor_.btran(y);
   extract_core(y, out);
 }
 
@@ -1140,7 +1029,7 @@ Solution RevisedSimplex::solve() {
 
 Solution RevisedSimplex::solve_from_basis_impl(
     const Basis& basis, const std::vector<std::size_t>* seed_basic,
-    const Matrix* seed_lu, const std::vector<std::size_t>* seed_perm) {
+    const BasisLu* seed_lu) {
   if (basis.empty()) return solve();
   Solution out;
   const std::uint64_t start = pivots_;
@@ -1163,9 +1052,8 @@ Solution RevisedSimplex::solve_from_basis_impl(
       // for exactly this basic set (see the header comment), and the
       // seed's factorization succeeded, so the failure fallback is
       // unreachable here.
-      lu_ = *seed_lu;
-      perm_ = *seed_perm;
-      recycle_etas();
+      factor_ = *seed_lu;
+      factor_.clear_etas();
     } else if (!factorize()) {
       return solve();
     }
@@ -1227,7 +1115,7 @@ bool RevisedSimplex::crash_from(const Basis& basis, Solution& out) {
     }
     std::vector<double>& w = col_work_;
     column_into(v, w);
-    ftran(w);
+    factor_.ftran(w);
     // Replace the slack with the largest exposure to this column.
     std::size_t leave = num_rows_;
     double best = kFeasTol;

@@ -3,10 +3,10 @@
 // The dense tableau in lp/simplex.hpp recomputes an m x cols tableau on
 // every pivot and rebuilds everything from scratch on every solve. This
 // engine keeps the constraint matrix immutable (column-major, sparse),
-// represents the basis as an LU factorization updated by an eta file
-// (product-form update), and refactorizes on a fixed cadence — so a
-// pivot costs two triangular solves instead of a tableau sweep, and an
-// optimal basis can be snapshotted and reused:
+// represents the basis as a sparse triangle-peeling LU updated by an eta
+// file (lp/basis_lu.hpp: product-form update), and refactorizes on a
+// fixed cadence — so a pivot costs two sparse triangular solves instead
+// of a tableau sweep, and an optimal basis can be snapshotted and reused:
 //
 //  * solve()             — cold start from the all-slack basis; composite
 //                          phase-1 (minimize the sum of bound violations)
@@ -46,7 +46,7 @@
 #include <optional>
 #include <vector>
 
-#include "lp/matrix.hpp"
+#include "lp/basis_lu.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 
@@ -153,7 +153,7 @@ class RevisedSimplex {
   /// is empty or unusable). Prefers a dual-simplex sweep when the basis
   /// is still dual feasible — the cheap path after rhs/bound patches.
   [[nodiscard]] Solution solve_from_basis(const Basis& basis) {
-    return solve_from_basis_impl(basis, nullptr, nullptr, nullptr);
+    return solve_from_basis_impl(basis, nullptr, nullptr);
   }
 
   /// Basis snapshot of the most recent solve (empty before any solve).
@@ -170,17 +170,22 @@ class RevisedSimplex {
   }
   [[nodiscard]] std::size_t num_structural() const noexcept { return n_; }
 
+  /// Shape of the most recent successful basis factorization: singleton
+  /// pivots peeled and the order of the dense bump. Read-only
+  /// diagnostics (tests use it to guard against a silent fallback to a
+  /// full dense LU); nothing reads it to steer a solve.
+  [[nodiscard]] const FactorStats& factor_stats() const noexcept {
+    return factor_.stats();
+  }
+  /// Factorizations on this instance that failed as singular (each one
+  /// restarted the solve from the slack basis).
+  [[nodiscard]] std::uint64_t singular_factorizations() const noexcept {
+    return singular_factorizations_;
+  }
+
  private:
   static constexpr std::size_t kNoSource = static_cast<std::size_t>(-1);
 
-  struct Eta {
-    std::size_t row = 0;
-    std::vector<double> coef;
-  };
-  struct ColEntry {
-    std::size_t row = 0;
-    double value = 0.0;
-  };
   // How an original constraint maps into the computational form.
   struct ConstraintMap {
     bool is_bound = false;
@@ -199,20 +204,19 @@ class RevisedSimplex {
   bool crash_from(const Basis& basis, Solution& out);
 
   // solve_from_basis with an optional factorization seed. When the
-  // adopted basic set equals `seed_basic`, installs `seed_lu`/`seed_perm`
-  // instead of refactorizing — legal because factorize() is a pure
-  // function of (basic set, immutable columns), so a seed taken from an
-  // engine that factorized the same basic set over the same problem is
-  // bitwise the LU this engine would compute. BatchSolver uses this to
-  // share the group frame's factorization with spilled members.
+  // adopted basic set equals `seed_basic`, installs `seed_lu` instead of
+  // refactorizing — legal because factorize() is a pure function of
+  // (basic set, immutable columns), so a seed taken from an engine that
+  // factorized the same basic set over the same problem is bitwise the
+  // LU this engine would compute. BatchSolver uses this to share the
+  // group frame's factorization with spilled members.
   [[nodiscard]] Solution solve_from_basis_impl(
       const Basis& basis, const std::vector<std::size_t>* seed_basic,
-      const Matrix* seed_lu, const std::vector<std::size_t>* seed_perm);
+      const BasisLu* seed_lu);
 
-  // Basis linear algebra.
+  // Basis linear algebra: factor_ holds the LU and the eta file;
+  // factor_.ftran / factor_.btran are the FTRAN / BTRAN.
   bool factorize();
-  void ftran(std::vector<double>& v) const;
-  void btran(std::vector<double>& v) const;
   [[nodiscard]] std::vector<double> column(std::size_t j) const;
   void column_into(std::size_t j, std::vector<double>& col) const;
   [[nodiscard]] double column_dot(std::size_t j,
@@ -237,7 +241,7 @@ class RevisedSimplex {
   // The body of extract() given the btran'd basic-cost vector `y` —
   // BatchSolver computes y once per shared factorization and calls this
   // per sibling, which is bitwise identical to extract() because y is a
-  // pure function of (lu_, etas_, basic_, objective_). `d_cache`, when
+  // pure function of (factor_, basic_, objective_). `d_cache`, when
   // non-null, supplies the per-column reduced costs against the same y
   // (computed with the identical `internal_cost(v) - column_dot(v, y)`
   // expression), saving the per-call recomputation without changing a
@@ -292,24 +296,16 @@ class RevisedSimplex {
   std::vector<VarStatus> status_;      ///< per column
   std::vector<std::size_t> basic_;     ///< basis position -> column
   std::vector<double> x_basic_;        ///< value per basis position
-  Matrix lu_;                          ///< dense LU of the basis
-  std::vector<std::size_t> perm_;      ///< row permutation of the LU
-  std::vector<Eta> etas_;              ///< product-form updates since LU
+  BasisLu factor_;                     ///< sparse LU + eta file
   bool has_basis_ = false;
   bool basis_reset_ = false;  ///< set by push_eta on singular refactorize
 
   std::uint64_t pivots_ = 0;
+  std::uint64_t singular_factorizations_ = 0;
 
-  // Reusable scratch: ftran/btran triangular-solve temporaries, pricing
-  // and ratio-test work vectors, and retired Eta records recycled by
-  // push_eta. Cold solves used to reallocate all of these per pivot —
-  // BENCH_simplex showed revised_cold_ms at ~2x dense_ms from allocator
-  // traffic alone. Instances are driven by one thread at a time (clones
-  // per worker), so mutable scratch inside const solves is safe.
-  void recycle_etas();
-  mutable std::vector<double> ftran_work_, btran_work_;
+  // Reusable pricing and ratio-test work vectors (cold solves used to
+  // reallocate them per pivot).
   std::vector<double> price_work_, rho_work_, col_work_;
-  std::vector<Eta> eta_pool_;
 };
 
 /// One-shot revised solve mirroring lp::solve's contract.

@@ -130,11 +130,16 @@ void audit_outcomes(const game::TabularGame& g,
   // every coalition row), so for quotient-computed nucleoli this is an
   // independent certificate that the expanded per-facility allocation is
   // excess-optimal on the whole 2^n lattice, not just on orbit rows.
-  // n <= 12 is the dense least-core ceiling.
+  // n <= 12 is the full-lattice least-core ceiling. The LP runs on the
+  // revised engine whatever engine the report used: its 2^n - 2 rows
+  // and n + 1 columns give an almost-all-slack basis, which the sparse
+  // basis LU factors in O(nnz) where the dense tableau needs minutes at
+  // n = 12.
   if (n >= 2 && n <= 12 && std::abs(vn) > 1e-12) {
     for (const auto& outcome : outcomes) {
       if (outcome.scheme != game::Scheme::kNucleolus) continue;
       lp::SimplexOptions cold = lp_options;
+      cold.solver = lp::SolverKind::kRevised;
       cold.observer = nullptr;  // the audit's own solves are not audited
       const auto lc = game::least_core(g, cold);
       if (!lc.solved) break;

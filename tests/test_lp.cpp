@@ -34,8 +34,6 @@ TEST(Matrix, RowOperations) {
   EXPECT_DOUBLE_EQ(m(1, 1), -2.0);
   m.scale_row(1, -0.5);
   EXPECT_DOUBLE_EQ(m(1, 1), 1.0);
-  m.swap_rows(0, 1);
-  EXPECT_DOUBLE_EQ(m(0, 1), 1.0);
 }
 
 TEST(Problem, ValidatesInputs) {

@@ -1,12 +1,21 @@
 // fuzz_lp — differential fuzzer for the simplex engines.
 //
-// Generates random bounded LPs on a small coefficient grid and solves
-// each three ways: dense two-phase tableau, revised simplex from a cold
-// basis, and revised simplex warm-started from the optimal basis of an
-// rhs-perturbed neighbour. Any disagreement — status mismatch,
-// objective divergence, or a certificate (verify/certificates.hpp) that
-// fails on a claimed answer — is a bug in at least one engine, and the
-// harness prints a self-contained reproduction and exits non-zero.
+// Generates random LPs on a small coefficient grid in three shapes, by
+// case seed mod 3:
+//  0. general: up to 6 x 6, mixed relations, free variables;
+//  1. tall excess LPs like the nucleolus and least-core chains: many
+//     >=-rows over a few columns plus a free epsilon column, so the
+//     revised engine's basis factorization keeps a non-empty dense bump;
+//  2. separable capacity LPs like the allocation relaxation: each
+//     structural column in one capacity row plus singleton caps, so the
+//     basis peels to a permuted triangle with no bump.
+// Each case is solved three ways: dense two-phase tableau, revised
+// simplex from a cold basis, and revised simplex warm-started from the
+// optimal basis of an rhs-perturbed neighbour. Any disagreement — status
+// mismatch, objective divergence, or a certificate
+// (verify/certificates.hpp) that fails on a claimed answer — is a bug in
+// at least one engine, and the harness prints a self-contained
+// reproduction and exits non-zero.
 //
 // Usage: fuzz_lp [--seconds N] [--cases N] [--seed S]
 //   --seconds N   wall-clock budget (default 10; 0 = no time limit)
@@ -61,8 +70,82 @@ struct Case {
   std::vector<double> neighbour_rhs;
 };
 
+// Shape 1: minimize epsilon over >=-rows x(S) + epsilon >= b_S, with
+// an optional efficiency row x(N) == b_N.
+Case make_excess_case(std::uint64_t& rng) {
+  const std::size_t k = 1 + pick(rng, 4);
+  const std::size_t m = 8 + pick(rng, 33);
+  Problem p(k + 1, Objective::kMinimize);
+  p.set_objective_coefficient(k, 1.0);
+  p.set_free(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    if (pick(rng, 2) == 0) p.set_free(j);
+    if (pick(rng, 4) == 0) p.set_objective_coefficient(j, grid(rng) / 4.0);
+  }
+  Case c{std::move(p), {}};
+  const auto add = [&](std::vector<double> coef, Relation rel, double rhs) {
+    c.neighbour_rhs.push_back(rhs + (static_cast<double>(pick(rng, 5)) - 2.0));
+    c.problem.add_constraint(std::move(coef), rel, rhs);
+  };
+  if (pick(rng, 2) == 0) {
+    std::vector<double> eff(k + 1, 1.0);
+    eff[k] = 0.0;
+    add(std::move(eff), Relation::kEqual, 2.0 * grid(rng));
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<double> coef(k + 1, 0.0);
+    const std::uint64_t mask = 1 + pick(rng, (std::uint64_t{1} << k) - 1);
+    for (std::size_t j = 0; j < k; ++j) {
+      if ((mask >> j) & 1U) coef[j] = pick(rng, 4) == 0 ? grid(rng) : 1.0;
+    }
+    coef[k] = 1.0;
+    add(std::move(coef), Relation::kGreaterEqual, grid(rng));
+  }
+  return c;
+}
+
+// Shape 2: maximize sum_c w_c y_{c,l} s.t. sum_c r_c y_{c,l} <= cap_l
+// per location l and y_{c,l} <= count_c.
+Case make_capacity_case(std::uint64_t& rng) {
+  const std::size_t locations = 2 + pick(rng, 11);
+  const std::size_t classes = 1 + pick(rng, 3);
+  const std::size_t n = classes * locations;
+  Problem p(n, Objective::kMaximize);
+  std::vector<double> units(classes), count(classes);
+  for (std::size_t cl = 0; cl < classes; ++cl) {
+    const double w = 0.5 + static_cast<double>(pick(rng, 8)) / 2.0;
+    units[cl] = 0.5 + static_cast<double>(pick(rng, 8)) / 2.0;
+    count[cl] = static_cast<double>(pick(rng, 6));
+    for (std::size_t l = 0; l < locations; ++l) {
+      p.set_objective_coefficient(cl * locations + l, w);
+    }
+  }
+  Case c{std::move(p), {}};
+  const auto add = [&](std::vector<double> coef, double rhs) {
+    c.neighbour_rhs.push_back(rhs + (static_cast<double>(pick(rng, 5)) - 2.0));
+    c.problem.add_constraint(std::move(coef), Relation::kLessEqual, rhs);
+  };
+  for (std::size_t l = 0; l < locations; ++l) {
+    std::vector<double> coef(n, 0.0);
+    for (std::size_t cl = 0; cl < classes; ++cl) {
+      coef[cl * locations + l] = units[cl];
+    }
+    const double cap =
+        pick(rng, 8) == 0 ? grid(rng) : 2.0 * (grid(rng) + 4.0);
+    add(std::move(coef), cap);
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    std::vector<double> coef(n, 0.0);
+    coef[v] = 1.0;
+    add(std::move(coef), count[v / locations]);
+  }
+  return c;
+}
+
 Case make_case(std::uint64_t seed) {
   std::uint64_t rng = seed;
+  if (seed % 3 == 1) return make_excess_case(rng);
+  if (seed % 3 == 2) return make_capacity_case(rng);
   const std::size_t n = 1 + pick(rng, 6);
   const std::size_t m = 1 + pick(rng, 6);
   const Objective sense =
@@ -134,6 +217,9 @@ bool certificate_ok(const Problem& p, const Solution& s, std::string& why) {
   return true;
 }
 
+// Cases whose warm start factorized a basis with a dense bump.
+std::uint64_t bump_cases = 0;
+
 bool run_case(std::uint64_t seed, Failure& failure) {
   const Case c = make_case(seed);
   SimplexOptions dense_opts;
@@ -155,6 +241,7 @@ bool run_case(std::uint64_t seed, Failure& failure) {
     warm_engine.set_constraint_rhs(i, c.problem.constraints()[i].rhs);
   }
   const Solution warm = warm_engine.solve_from_basis(basis);
+  if (warm_engine.factor_stats().bump > 0) ++bump_cases;
 
   if (!comparable(dense.status) || !comparable(revised.status) ||
       !comparable(warm.status)) {
@@ -247,7 +334,8 @@ int main(int argc, char** argv) {
     }
     ++cases;
   }
-  std::cout << "fuzz_lp: " << cases << " cases, 3 engines each, no "
-            << "disagreements\n";
+  std::cout << "fuzz_lp: " << cases << " cases (" << bump_cases
+            << " warm-started on a basis with a dense bump), 3 engines "
+            << "each, no disagreements\n";
   return 0;
 }
