@@ -19,9 +19,7 @@ bool BasisLu::factorize(std::size_t m, const std::vector<std::size_t>& basic,
   m_ = m;
   clear_etas();
   pivots_.clear();
-  back_.clear();
   off_.clear();
-  front_ = 0;
   k_ = 0;
 
   // Slack columns read as one-entry views into unit_.
@@ -85,46 +83,9 @@ bool BasisLu::factorize(std::size_t m, const std::vector<std::size_t>& basic,
       if (col_active_[q] && --col_count_[q] == 1) queue_.push_back(q);
     }
   }
-  front_ = pivots_.size();
-
-  // Row singletons of the remainder, placed last. Symmetrically, they
-  // never create a new column singleton.
-  queue_.clear();
-  for (std::size_t r = 0; r < m; ++r) {
-    if (row_active_[r] && row_count_[r] == 1) queue_.push_back(r);
-  }
-  for (std::size_t h = 0; h < queue_.size(); ++h) {
-    const std::size_t r = queue_[h];
-    if (!row_active_[r] || row_count_[r] != 1) continue;
-    std::size_t p = kNone;
-    for (std::size_t i = row_start_[r]; i < row_start_[r + 1]; ++i) {
-      if (col_active_[row_pos_[i]]) {
-        p = row_pos_[i];
-        break;
-      }
-    }
-    const ColEntry* piv = std::lower_bound(
-        first(p), last(p), r,
-        [](const ColEntry& e, std::size_t row) { return e.row < row; });
-    if (std::abs(piv->value) < kSingularTol) return false;
-    Pivot pv{r, p, piv->value, off_.size(), 0};
-    for (const ColEntry* e = first(p); e != last(p); ++e) {
-      if (e != piv) off_.push_back(*e);
-    }
-    pv.end = off_.size();
-    back_.push_back(pv);
-    row_active_[r] = 0;
-    col_active_[p] = 0;
-    for (const ColEntry* e = first(p); e != last(p); ++e) {
-      if (row_active_[e->row] && --row_count_[e->row] == 1) {
-        queue_.push_back(e->row);
-      }
-    }
-  }
-
-  // The bump: remaining rows and positions, ascending. Its columns have
-  // no entries in row-singleton rows, so everything outside the bump
-  // rows lies in column-singleton rows and goes to the off list.
+  // The bump: remaining rows and positions, ascending. Every entry of
+  // its columns outside the bump rows lies in a peeled row and goes to
+  // the off list.
   bump_rows_.clear();
   bump_pos_.clear();
   bump_slot_.assign(m, kNone);
@@ -183,16 +144,15 @@ bool BasisLu::factorize(std::size_t m, const std::vector<std::size_t>& basic,
     }
   }
 
-  // Row singletons take the last positions in reverse peel order.
-  pivots_.insert(pivots_.end(), back_.rbegin(), back_.rend());
   stats_ = FactorStats{pivots_.size(), k};
   return true;
 }
 
 void BasisLu::ftran(std::vector<double>& v) const {
-  // Back substitution on P B Q in descending position order: each
-  // singleton fixes its position from its pivot row, then clears its
-  // column's other entries, which all sit in rows pivoted earlier.
+  // Back substitution on P B Q: the bump first, then the singletons in
+  // reverse peel order. Each singleton fixes its position from its
+  // pivot row, then clears its column's other entries, which all sit in
+  // rows pivoted earlier.
   std::vector<double>& x = work_;
   x.resize(m_);
   const auto peel = [&](const Pivot& pv) {
@@ -202,7 +162,6 @@ void BasisLu::ftran(std::vector<double>& v) const {
       v[off_[i].row] -= off_[i].value * xp;
     }
   };
-  for (std::size_t i = pivots_.size(); i-- > front_;) peel(pivots_[i]);
   if (k_ > 0) {
     const std::size_t k = k_;
     const double* lu = bump_lu_.data();
@@ -227,7 +186,7 @@ void BasisLu::ftran(std::vector<double>& v) const {
       }
     }
   }
-  for (std::size_t i = front_; i-- > 0;) peel(pivots_[i]);
+  for (std::size_t i = pivots_.size(); i-- > 0;) peel(pivots_[i]);
   v.swap(x);
   apply_etas(v);
 }
@@ -245,7 +204,7 @@ void BasisLu::apply_etas(std::vector<double>& v) const {
 
 void BasisLu::btran(std::vector<double>& v) const {
   // Transposed etas in reverse order, then forward substitution on
-  // (P B Q)^T in ascending position order.
+  // (P B Q)^T: the singletons in peel order, then the bump.
   for (std::size_t ei = etas_.size(); ei-- > 0;) {
     const Eta& e = etas_[ei];
     double acc = e.inv * v[e.row];
@@ -263,7 +222,7 @@ void BasisLu::btran(std::vector<double>& v) const {
     }
     y[pv.row] = acc / pv.value;
   };
-  for (std::size_t i = 0; i < front_; ++i) peel(pivots_[i]);
+  for (const Pivot& pv : pivots_) peel(pv);
   if (k_ > 0) {
     // K = P^T L U, so K^T z = t is U^T s = t (forward), L^T r = s
     // (backward, unit diagonal), z = P^T r.
@@ -290,7 +249,6 @@ void BasisLu::btran(std::vector<double>& v) const {
     }
     for (std::size_t i = 0; i < k; ++i) y[bump_rows_[i]] = t[i];
   }
-  for (std::size_t i = front_; i < pivots_.size(); ++i) peel(pivots_[i]);
   v.swap(y);
 }
 
@@ -313,7 +271,6 @@ void BasisLu::ftran_panel(std::vector<double>& panel, std::size_t lanes,
       for (std::size_t l = 0; l < nl; ++l) vo[l] -= a * xp[l];
     }
   };
-  for (std::size_t i = pivots_.size(); i-- > front_;) peel(pivots_[i]);
   if (k_ > 0) {
     const std::size_t k = k_;
     const double* lu = bump_lu_.data();
@@ -353,7 +310,7 @@ void BasisLu::ftran_panel(std::vector<double>& panel, std::size_t lanes,
       }
     }
   }
-  for (std::size_t i = front_; i-- > 0;) peel(pivots_[i]);
+  for (std::size_t i = pivots_.size(); i-- > 0;) peel(pivots_[i]);
   panel.swap(work);
   // A batch frame has an empty eta file (pivots invalidate it); the
   // roll-forward keeps the lanes exact should that invariant relax.

@@ -9,13 +9,10 @@
 // O(m^3) factorization and O(m^2) per solve away on such bases.
 //
 // factorize() instead peels the basis into block upper-triangular form
-// P B Q = [U1 X Y; 0 K Z; 0 0 U3]:
+// P B Q = [U1 X; 0 K]:
 //  * column singletons (a column with one nonzero among the remaining
 //    rows: every slack, and structural columns left with one entry) are
 //    pivoted first, in FIFO order seeded by ascending basis position;
-//  * row singletons of what remains are pivoted last, FIFO order seeded
-//    by ascending row. Peeling a column singleton never creates a row
-//    singleton and vice versa, so one pass of each reaches the fixpoint;
 //  * the k x k bump K left over (rows ascending, positions ascending) is
 //    LU-factored densely with partial pivoting. k is 0 on the relaxation
 //    LPs and at most the number of basic structurals on excess LPs.
@@ -43,7 +40,7 @@ struct ColEntry {
 
 /// Shape of the most recent successful factorization.
 struct FactorStats {
-  std::size_t peeled = 0;  ///< pivots taken as column or row singletons
+  std::size_t peeled = 0;  ///< pivots taken as column singletons
   std::size_t bump = 0;    ///< order k of the densely factored remainder
 };
 
@@ -104,11 +101,8 @@ class BasisLu {
   void apply_etas(std::vector<double>& v) const;
 
   std::size_t m_ = 0;
-  // Singleton pivots in basis-position order: front_ column singletons
-  // (positions 0..front_-1), then the row singletons that follow the
-  // bump (positions front_+k..m-1).
+  // Column-singleton pivots in peel order.
   std::vector<Pivot> pivots_;
-  std::size_t front_ = 0;
   std::vector<ColEntry> off_;
   // The bump: slot i of the dense LU takes row bump_rows_[i] (partial
   // pivoting applied) and column j is basis position bump_pos_[j], whose
@@ -127,7 +121,6 @@ class BasisLu {
   std::vector<std::size_t> col_count_, row_count_, row_start_, row_pos_,
       queue_, bump_slot_;
   std::vector<char> col_active_, row_active_;
-  std::vector<Pivot> back_;
   std::vector<ColEntry> unit_;  ///< unit_[r]: the slack column of row r
   // Solve scratch. Engines are driven by one thread at a time, so
   // mutable scratch inside the const solves is safe.

@@ -414,9 +414,7 @@ double RevisedSimplex::column_dot(std::size_t j,
 }
 
 bool RevisedSimplex::factorize() {
-  if (factor_.factorize(num_rows_, basic_, n_, cols_)) return true;
-  ++singular_factorizations_;
-  return false;
+  return factor_.factorize(num_rows_, basic_, n_, cols_);
 }
 
 double RevisedSimplex::nonbasic_value(std::size_t j) const {

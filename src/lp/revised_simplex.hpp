@@ -177,11 +177,6 @@ class RevisedSimplex {
   [[nodiscard]] const FactorStats& factor_stats() const noexcept {
     return factor_.stats();
   }
-  /// Factorizations on this instance that failed as singular (each one
-  /// restarted the solve from the slack basis).
-  [[nodiscard]] std::uint64_t singular_factorizations() const noexcept {
-    return singular_factorizations_;
-  }
 
  private:
   static constexpr std::size_t kNoSource = static_cast<std::size_t>(-1);
@@ -301,7 +296,6 @@ class RevisedSimplex {
   bool basis_reset_ = false;  ///< set by push_eta on singular refactorize
 
   std::uint64_t pivots_ = 0;
-  std::uint64_t singular_factorizations_ = 0;
 
   // Reusable pricing and ratio-test work vectors (cold solves used to
   // reallocate them per pivot).

@@ -126,10 +126,11 @@ void audit_outcomes(const game::TabularGame& g,
 
   // Nucleolus excess optimality: its maximum excess must match the
   // least-core epsilon — the first level of the lexicographic minimum.
-  // Checked from the raw full-lattice data (the dense least-core LP over
-  // every coalition row), so for quotient-computed nucleoli this is an
-  // independent certificate that the expanded per-facility allocation is
-  // excess-optimal on the whole 2^n lattice, not just on orbit rows.
+  // Checked from the raw full-lattice data (the full-lattice least-core
+  // LP over every coalition row), so for quotient-computed nucleoli this
+  // is an independent certificate that the expanded per-facility
+  // allocation is excess-optimal on the whole 2^n lattice, not just on
+  // orbit rows.
   // n <= 12 is the full-lattice least-core ceiling. The LP runs on the
   // revised engine whatever engine the report used: its 2^n - 2 rows
   // and n + 1 columns give an almost-all-slack basis, which the sparse

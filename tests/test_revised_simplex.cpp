@@ -453,7 +453,7 @@ TEST(RevisedSimplexFactor, LeastCoreBumpIsBoundedByStructurals) {
 
 TEST(RevisedSimplexFactor, SingularBumpRestartsFromSlackBasis) {
   // x0 and x1 have identical columns, so a basis holding both has the
-  // singular bump [[1, 1], [1, 1]] on rows 0 and 1: factorize() fails
+  // singular bump [[1, 1], [1, 1]] on rows 0 and 1: factorization fails
   // and the warm solve restarts cold from the slack basis.
   Problem p(4, Objective::kMaximize);
   p.set_objective_coefficient(0, 1.0);
@@ -471,8 +471,16 @@ TEST(RevisedSimplexFactor, SingularBumpRestartsFromSlackBasis) {
                      VarStatus::kAtLower, VarStatus::kAtLower,
                      VarStatus::kAtLower, VarStatus::kAtLower,
                      VarStatus::kBasic};
+  const std::vector<std::vector<ColEntry>> cols = {
+      {{0, 1.0}, {1, 1.0}},
+      {{0, 1.0}, {1, 1.0}},
+      {{0, 1.0}, {1, 2.0}, {2, 1.0}},
+      {{2, 1.0}},
+  };
+  BasisLu lu;
+  EXPECT_FALSE(lu.factorize(3, {0, 1, 4 + 2}, 4, cols));
+
   const Solution warm = engine.solve_from_basis(singular);
-  EXPECT_EQ(engine.singular_factorizations(), 1U);
   ASSERT_TRUE(warm.optimal());
   const Solution dense = solve(p);
   ASSERT_TRUE(dense.optimal());
@@ -519,8 +527,8 @@ TEST(RevisedSimplexFactor, WarmResolveIsBitwiseAFreshSeededSolve) {
 
 TEST(RevisedSimplexFactor, PanelFtranIsBitwiseScalarFtranWithBump) {
   // A 6 x 6 basis peeling into three column singletons (two slacks,
-  // then x3), one row singleton (x0 on row 0) and a 2 x 2 bump, plus
-  // two etas: every lane of ftran_panel must equal ftran bitwise.
+  // then x3) and a 3 x 3 bump, plus two etas: every lane of ftran_panel
+  // must equal ftran bitwise.
   const std::size_t m = 6;
   const std::vector<std::vector<ColEntry>> cols = {
       {{0, 2.0}, {1, 1.0}, {2, -1.5}, {4, 0.25}},
@@ -532,8 +540,8 @@ TEST(RevisedSimplexFactor, PanelFtranIsBitwiseScalarFtranWithBump) {
   const std::vector<std::size_t> basic = {0, 1, 2, n + 4, 3, n + 5};
   BasisLu lu;
   ASSERT_TRUE(lu.factorize(m, basic, n, cols));
-  EXPECT_EQ(lu.stats().bump, 2U);
-  EXPECT_EQ(lu.stats().peeled, 4U);
+  EXPECT_EQ(lu.stats().bump, 3U);
+  EXPECT_EQ(lu.stats().peeled, 3U);
   lu.push_eta(2, {0.5, 0.0, 1.5, -0.25, 0.0, 2.0});
   lu.push_eta(4, {0.0, 1.0, 0.0, 0.0, -3.0, 0.5});
 

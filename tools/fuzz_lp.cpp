@@ -1,15 +1,15 @@
 // fuzz_lp — differential fuzzer for the simplex engines.
 //
-// Generates random LPs on a small coefficient grid in three shapes, by
-// case seed mod 3:
-//  0. general: up to 6 x 6, mixed relations, free variables;
-//  1. tall excess LPs like the nucleolus and least-core chains: many
-//     >=-rows over a few columns plus a free epsilon column, so the
-//     revised engine's basis factorization keeps a non-empty dense bump;
-//  2. separable capacity LPs like the allocation relaxation: each
-//     structural column in one capacity row plus singleton caps, so the
-//     basis peels to a permuted triangle with no bump.
-// Each case is solved three ways: dense two-phase tableau, revised
+// Generates random LPs on a small coefficient grid. Every case seed
+// yields one LP of each of three shapes:
+//  * general: up to 6 x 6, mixed relations, free variables;
+//  * excess: tall LPs like the nucleolus and least-core chains, many
+//    >=-rows over a few columns plus a free epsilon column, so the
+//    revised engine's basis factorization keeps a non-empty dense bump;
+//  * capacity: separable LPs like the allocation relaxation, each
+//    structural column in one capacity row plus singleton caps, so the
+//    basis peels to a permuted triangle with no bump.
+// Each LP is solved three ways: dense two-phase tableau, revised
 // simplex from a cold basis, and revised simplex warm-started from the
 // optimal basis of an rhs-perturbed neighbour. Any disagreement — status
 // mismatch, objective divergence, or a certificate
@@ -19,7 +19,7 @@
 //
 // Usage: fuzz_lp [--seconds N] [--cases N] [--seed S]
 //   --seconds N   wall-clock budget (default 10; 0 = no time limit)
-//   --cases N     max cases (default unlimited; 0 = unlimited)
+//   --cases N     max case seeds (default unlimited; 0 = unlimited)
 //   --seed S      base RNG seed (default 1); case k uses seed S + k
 //
 // tools/check.sh runs `fuzz_lp --seconds 10` as a smoke gate.
@@ -70,7 +70,7 @@ struct Case {
   std::vector<double> neighbour_rhs;
 };
 
-// Shape 1: minimize epsilon over >=-rows x(S) + epsilon >= b_S, with
+// Excess shape: minimize epsilon over >=-rows x(S) + epsilon >= b_S, with
 // an optional efficiency row x(N) == b_N.
 Case make_excess_case(std::uint64_t& rng) {
   const std::size_t k = 1 + pick(rng, 4);
@@ -104,7 +104,7 @@ Case make_excess_case(std::uint64_t& rng) {
   return c;
 }
 
-// Shape 2: maximize sum_c w_c y_{c,l} s.t. sum_c r_c y_{c,l} <= cap_l
+// Capacity shape: maximize sum_c w_c y_{c,l} s.t. sum_c r_c y_{c,l} <= cap_l
 // per location l and y_{c,l} <= count_c.
 Case make_capacity_case(std::uint64_t& rng) {
   const std::size_t locations = 2 + pick(rng, 11);
@@ -142,10 +142,8 @@ Case make_capacity_case(std::uint64_t& rng) {
   return c;
 }
 
-Case make_case(std::uint64_t seed) {
-  std::uint64_t rng = seed;
-  if (seed % 3 == 1) return make_excess_case(rng);
-  if (seed % 3 == 2) return make_capacity_case(rng);
+// General shape.
+Case make_general_case(std::uint64_t& rng) {
   const std::size_t n = 1 + pick(rng, 6);
   const std::size_t m = 1 + pick(rng, 6);
   const Objective sense =
@@ -165,6 +163,27 @@ Case make_case(std::uint64_t seed) {
     c.problem.add_constraint(std::move(coef), rel, rhs);
   }
   return c;
+}
+
+enum class Shape { kGeneral, kExcess, kCapacity };
+constexpr Shape kShapes[] = {Shape::kGeneral, Shape::kExcess,
+                             Shape::kCapacity};
+
+const char* shape_name(Shape s) {
+  switch (s) {
+    case Shape::kExcess: return "excess";
+    case Shape::kCapacity: return "capacity";
+    default: return "general";
+  }
+}
+
+Case make_case(Shape shape, std::uint64_t seed) {
+  std::uint64_t rng = seed;
+  switch (shape) {
+    case Shape::kExcess: return make_excess_case(rng);
+    case Shape::kCapacity: return make_capacity_case(rng);
+    default: return make_general_case(rng);
+  }
 }
 
 void dump(const Problem& p, std::ostream& out) {
@@ -220,8 +239,7 @@ bool certificate_ok(const Problem& p, const Solution& s, std::string& why) {
 // Cases whose warm start factorized a basis with a dense bump.
 std::uint64_t bump_cases = 0;
 
-bool run_case(std::uint64_t seed, Failure& failure) {
-  const Case c = make_case(seed);
+bool run_case(const Case& c, Failure& failure) {
   SimplexOptions dense_opts;
   dense_opts.solver = fedshare::lp::SolverKind::kDense;
   const Solution dense = fedshare::lp::solve(c.problem, dense_opts);
@@ -322,20 +340,24 @@ int main(int argc, char** argv) {
   std::uint64_t cases = 0;
   while ((max_cases == 0 || cases < max_cases) &&
          (seconds <= 0.0 || elapsed() < seconds)) {
-    Failure failure;
     const std::uint64_t case_seed = seed + cases;
-    if (!run_case(case_seed, failure)) {
-      std::cerr << "fuzz_lp: FAILED at case " << cases << " (seed "
-                << case_seed << "): " << failure.what << "\n";
-      std::cerr << "reproduce with: fuzz_lp --seed " << case_seed
-                << " --cases 1 --seconds 0\n";
-      dump(make_case(case_seed).problem, std::cerr);
-      return 1;
+    for (const Shape shape : kShapes) {
+      Failure failure;
+      const Case c = make_case(shape, case_seed);
+      if (!run_case(c, failure)) {
+        std::cerr << "fuzz_lp: FAILED at case " << cases << " (seed "
+                  << case_seed << ", " << shape_name(shape)
+                  << " shape): " << failure.what << "\n";
+        std::cerr << "reproduce with: fuzz_lp --seed " << case_seed
+                  << " --cases 1 --seconds 0\n";
+        dump(c.problem, std::cerr);
+        return 1;
+      }
     }
     ++cases;
   }
-  std::cout << "fuzz_lp: " << cases << " cases (" << bump_cases
-            << " warm-started on a basis with a dense bump), 3 engines "
-            << "each, no disagreements\n";
+  std::cout << "fuzz_lp: " << cases << " case seeds x 3 shapes ("
+            << bump_cases << " LPs warm-started on a basis with a dense "
+            << "bump), 3 engines each, no disagreements\n";
   return 0;
 }
